@@ -1,0 +1,56 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+)
+
+// digest hashes the %+v rendering of v. Floats render at their shortest
+// round-trip precision and maps in sorted key order, so equal digests mean
+// bit-identical values.
+func digest(v any) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", v)))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFigurePins pins the Figure 1, Figure 6, §2.1 background and §5.1
+// overhead reproductions bit for bit at the default options. The shape
+// tests above only check them within tolerances; these values catch any
+// change to how the cells are built or run. Regenerate them only for an
+// intentional physics change.
+func TestFigurePins(t *testing.T) {
+	fig1, err := Figure1(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig6, err := Figure6(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, err := RunBackground(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oh, err := RunOverhead(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"Figure1", digest(fig1), "bc8d3ee5af54212bee9171a356f44872e2c8338dce43e7f138b7651c2d520720"},
+		{"Figure6", digest(fig6), "f53e9bda7ebb20485830ad317d6ba8244feed2e56a65afc36884b1026e0a3ca8"},
+		{"Background", fmt.Sprintf("%+v", bg), "{LatencySmall:18.832 LatencyLarge:573.154 " +
+			"CycleSmall:4.684374999999988 CycleLarge:542.2196666666667 " +
+			"DutySmall:0.246211714281867 DutyLarge:0.4647588571338419 " +
+			"EnergyAbove10mW:0.6843796554680328 TimeBelow3mW:0.8245714285714286 " +
+			"NightDuty1mF:0.07321111111125843 NightDuty10mF:0.06517500000010895 " +
+			"NightStarted300mF:false}"},
+		{"Overhead", fmt.Sprintf("%+v", oh), "{SoftwarePenalty:0.018080667593880384 " +
+			"HardwareDrawW:6.721627264869568e-05 PerBankW:1.3443254529739136e-05}"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
