@@ -29,9 +29,18 @@ func rfTraces() []*react.Trace {
 	return []*react.Trace{react.RFCart(1), react.RFObstructed(1), react.RFMobile(1)}
 }
 
-// runCell adapts the experiments cell factory to the engine's grid signature.
-func runCell(_ context.Context, bench string, tr *react.Trace, buf string) (react.Result, error) {
-	return experiments.RunCell(tr, buf, bench, experiments.Options{})
+// runGroup adapts the experiments cell factory to the engine's grid
+// signature, running the group's buffers one cell at a time.
+func runGroup(_ context.Context, bench string, tr *react.Trace, bufs []string) ([]react.Result, error) {
+	res := make([]react.Result, len(bufs))
+	for i, buf := range bufs {
+		r, err := experiments.RunCell(tr, buf, bench, experiments.Options{})
+		if err != nil {
+			return nil, err
+		}
+		res[i] = r
+	}
+	return res, nil
 }
 
 // benchTable2 runs one Table 2 benchmark column set over the RF traces and
@@ -41,7 +50,7 @@ func benchTable2(b *testing.B, bench string) {
 	perf := func(r react.Result) float64 { return experiments.Perf(bench, r) }
 	for i := 0; i < b.N; i++ {
 		g, err := react.RunGrid(context.Background(), nil,
-			[]string{bench}, rfTraces(), []string{"REACT", "770 µF", "17 mF"}, runCell)
+			[]string{bench}, rfTraces(), []string{"REACT", "770 µF", "17 mF"}, runGroup)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +89,7 @@ func BenchmarkTable4_Latency(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g, err := react.RunGrid(context.Background(), nil,
-			[]string{"DE"}, rfTraces(), []string{"REACT", "17 mF"}, runCell)
+			[]string{"DE"}, rfTraces(), []string{"REACT", "17 mF"}, runGroup)
 		if err != nil {
 			b.Fatal(err)
 		}

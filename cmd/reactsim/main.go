@@ -260,8 +260,8 @@ func run() int {
 		return 2
 	}
 
-	// The experiment factories panic on unknown names (a fixed set); turn
-	// bad CLI input into a friendly error instead of a stack trace.
+	// Check the names up front so bad CLI input exits 2 with the valid
+	// choices listed, before any trace is loaded.
 	if err := validateNames(*bufName, *bench); err != nil {
 		fmt.Fprintln(os.Stderr, "reactsim:", err)
 		return 2

@@ -3,19 +3,16 @@
 // simulation substrate. The cmd/ tools and the top-level benchmarks are
 // thin wrappers over this package; see DESIGN.md for the experiment index.
 //
-// Since the scenario subsystem landed, this package no longer owns the
-// buffer/workload factories or the grid cells: the paper's evaluation grid
-// is a set of registered scenarios (internal/scenario), and the factories
-// here delegate to the scenario layer so the paper cells and the extended
-// catalogue share one construction path.
+// This package owns no cell construction: the paper's evaluation grid is a
+// set of registered scenarios (internal/scenario), and the figures and the
+// background and overhead analyses are ad-hoc scenario specs, so every
+// simulation here enters through scenario.RunBatch.
 package experiments
 
 import (
 	"context"
 	"fmt"
 
-	"react/internal/buffer"
-	"react/internal/mcu"
 	"react/internal/runner"
 	"react/internal/scenario"
 	"react/internal/sim"
@@ -31,35 +28,6 @@ var ExtendedBufferNames = scenario.PresetBuffers
 
 // BenchmarkNames lists the four benchmarks in presentation order.
 var BenchmarkNames = scenario.PaperBenchmarks
-
-// DEActiveI is the device current while running the DE benchmark (see
-// scenario.DEActiveI for the rationale).
-const DEActiveI = scenario.DEActiveI
-
-// staticLeak is the shared 1 µA/mF static-capacitor leakage figure.
-func staticLeak(c float64) float64 { return scenario.StaticLeak(c) }
-
-// NewBuffer constructs a fresh instance of one of the evaluated buffers.
-// Beyond the paper's five (BufferNames), the related-work extensions
-// "Capybara" and "Dewdrop" are also constructible for the ablation and
-// extension experiments. It panics on an unknown name — the set is fixed.
-func NewBuffer(name string) buffer.Buffer {
-	b, err := scenario.NewPresetBuffer(name)
-	if err != nil {
-		panic("experiments: unknown buffer " + name)
-	}
-	return b
-}
-
-// NewWorkload constructs a fresh workload for a benchmark over a trace. It
-// panics on an unknown benchmark name — the set is fixed.
-func NewWorkload(bench string, tr *trace.Trace, seed uint64) mcu.Workload {
-	wl, err := scenario.WorkloadSpec{Bench: bench}.Build(tr, seed, mcu.DefaultProfile())
-	if err != nil {
-		panic("experiments: unknown benchmark " + bench)
-	}
-	return wl
-}
 
 // Options tunes a run; the zero value uses the evaluation defaults.
 type Options struct {
@@ -113,7 +81,7 @@ func RunGrid(opt Options) (*Grid, error) {
 // single pass of the shared trace (scenario.RunBatch).
 func RunGridOn(ctx context.Context, r *runner.Runner, opt Options) (*Grid, error) {
 	traces := trace.Evaluation(opt.seed())
-	return runner.RunGridBatched(ctx, r, BenchmarkNames, traces, BufferNames,
+	return runner.RunGrid(ctx, r, BenchmarkNames, traces, BufferNames,
 		func(ctx context.Context, bench string, tr *trace.Trace, buffers []string) ([]sim.Result, error) {
 			sp, ok := scenario.Lookup(scenario.PaperName(bench, tr.Name))
 			if !ok {

@@ -7,49 +7,10 @@ import (
 	"testing"
 
 	"react/internal/runner"
+	"react/internal/scenario"
 	"react/internal/sim"
 	"react/internal/trace"
 )
-
-func TestBufferFactoryNames(t *testing.T) {
-	for _, name := range BufferNames {
-		b := NewBuffer(name)
-		if b.Name() != name && !strings.Contains(b.Name(), "REACT") && b.Name() != "Morphy" {
-			t.Errorf("buffer %q reports name %q", name, b.Name())
-		}
-		if b.Capacitance() <= 0 {
-			t.Errorf("buffer %q has no capacitance", name)
-		}
-	}
-}
-
-func TestBufferFactoryUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown buffer name must panic")
-		}
-	}()
-	NewBuffer("1 F")
-}
-
-func TestWorkloadFactory(t *testing.T) {
-	tr := trace.RFCart(1)
-	for _, bench := range BenchmarkNames {
-		wl := NewWorkload(bench, tr, 1)
-		if wl.Name() != bench {
-			t.Errorf("workload %q reports name %q", bench, wl.Name())
-		}
-	}
-}
-
-func TestWorkloadFactoryUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown benchmark name must panic")
-		}
-	}()
-	NewWorkload("XX", trace.RFCart(1), 1)
-}
 
 // TestCellEnergyConservation verifies the full-stack energy ledger balances
 // for one cell of every buffer design.
@@ -231,18 +192,29 @@ func TestGridShape(t *testing.T) {
 
 // TestRunnerGridMatchesSequentialCells runs a reduced grid (every evaluated
 // buffer plus the extensions, over the short RF traces) through the shared
-// runner and checks two properties of the engine port: every cell's energy
-// ledger balances, and every cell is bit-identical to running the same
-// RunCell sequentially — scheduling through the worker pool changes
-// nothing about the results.
+// runner, each group's buffers in one lockstep batch, and checks two
+// properties of the engine: every cell's energy ledger balances, and every
+// cell is bit-identical to running the same RunCell sequentially —
+// scheduling through the worker pool and batching change nothing about the
+// results.
 func TestRunnerGridMatchesSequentialCells(t *testing.T) {
 	traces := []*trace.Trace{trace.RFCart(1), trace.RFObstructed(1)}
 	buffers := ExtendedBufferNames
 	opt := Options{}
 	g, err := runner.RunGrid(context.Background(), &runner.Runner{Workers: 4},
 		[]string{"RT"}, traces, buffers,
-		func(_ context.Context, bench string, tr *trace.Trace, buf string) (sim.Result, error) {
-			return RunCell(tr, buf, bench, opt)
+		func(ctx context.Context, bench string, tr *trace.Trace, bufs []string) ([]sim.Result, error) {
+			sp := &scenario.Spec{
+				Name:     "adhoc-group",
+				Trace:    scenario.TraceSpec{Loaded: tr},
+				Workload: scenario.WorkloadSpec{Bench: bench},
+				Buffers:  scenario.Presets(bufs...),
+			}
+			run, err := sp.Run(ctx, &runner.Runner{Workers: 1}, opt.scenarioOptions())
+			if err != nil {
+				return nil, err
+			}
+			return run.Results, nil
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -8,35 +8,41 @@ import (
 
 	"react/internal/buffer"
 	"react/internal/core"
-	"react/internal/harvest"
-	"react/internal/mcu"
-	"react/internal/runner"
+	"react/internal/scenario"
 	"react/internal/sim"
 	"react/internal/trace"
-	"react/internal/workload"
 )
 
-// backgroundDevice returns the §2.1 analysis platform: a system drawing
-// 1.5 mA in active mode, enabled at 3.6 V and cut off at 1.8 V, running
-// continuously whenever powered.
-func backgroundDevice() *mcu.Device {
-	prof := mcu.Profile{
-		VEnable:   3.6,
-		VBrownout: 1.8,
-		BootTime:  5e-3,
-		ActiveI:   1.5e-3,
-		SleepI:    4e-6,
+// backgroundSpec is the §2.1 analysis over tr: a system drawing 1.5 mA in
+// active mode, enabled at 3.6 V and cut off at 1.8 V, running continuously
+// whenever powered, with one static buffer per capacitance. The buffers
+// clip just above the enable voltage like the Figure 1 plot shows.
+func backgroundSpec(tr *trace.Trace, caps ...float64) *scenario.Spec {
+	sp := &scenario.Spec{
+		Name:     "background",
+		Trace:    scenario.TraceSpec{Loaded: tr},
+		Device:   scenario.DeviceSpec{VEnable: 3.6},
+		Workload: scenario.WorkloadSpec{Bench: "DE", ActiveI: 1.5e-3},
 	}
-	return mcu.NewDevice(prof, workload.NewDataEncryption(prof.ActiveI))
+	for _, c := range caps {
+		sp.Buffers = append(sp.Buffers, scenario.BufferSpec{
+			Label:  fmt.Sprintf("%g mF", c*1e3),
+			Static: &scenario.StaticSpec{C: c, VMax: 3.65},
+		})
+	}
+	return sp
 }
 
-// backgroundBuffer builds the static buffers used by the §2.1 analysis;
-// they clip just above the enable voltage like the Figure 1 plot shows.
-func backgroundBuffer(c float64) buffer.Buffer {
-	return buffer.NewStatic(buffer.StaticConfig{
-		Name: fmt.Sprintf("%g mF", c*1e3), C: c, VMax: 3.65,
-		LeakI: staticLeak(c), VRated: 6.3,
-	})
+// runSpec simulates every buffer of an ad-hoc spec with recording at
+// recordDT.
+func runSpec(sp *scenario.Spec, opt Options, recordDT float64) ([]sim.Result, error) {
+	so := opt.scenarioOptions()
+	so.RecordDT = recordDT
+	run, err := sp.Run(context.Background(), nil, so)
+	if err != nil {
+		return nil, err
+	}
+	return run.Results, nil
 }
 
 // Figure1Run holds one buffer's series for Figure 1.
@@ -50,22 +56,16 @@ type Figure1Run struct {
 // buffer on the simulated pedestrian solar harvester, with the harvested
 // power series and each buffer's voltage/on-time series.
 func Figure1(opt Options) ([]Figure1Run, error) {
-	tr := trace.Fig1Pedestrian(opt.seed())
-	return runner.Sweep(context.Background(), nil, []float64{1e-3, 300e-3},
-		func(ctx context.Context, c float64) (Figure1Run, error) {
-			buf := backgroundBuffer(c)
-			res, err := sim.Run(sim.Config{
-				DT:       opt.DT,
-				Frontend: harvest.NewFrontend(tr, nil),
-				Buffer:   buf,
-				Device:   backgroundDevice(),
-				RecordDT: 1.0,
-			})
-			if err != nil {
-				return Figure1Run{}, err
-			}
-			return Figure1Run{Label: buf.Name(), Result: res, Samples: res.Samples}, nil
-		})
+	sp := backgroundSpec(trace.Fig1Pedestrian(opt.seed()), 1e-3, 300e-3)
+	res, err := runSpec(sp, opt, 1.0)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]Figure1Run, len(res))
+	for i, r := range res {
+		runs[i] = Figure1Run{Label: sp.Buffers[i].DisplayName(), Result: r, Samples: r.Samples}
+	}
+	return runs, nil
 }
 
 // Background reproduces the quantitative claims woven through §2.1: the
@@ -95,35 +95,23 @@ func RunBackground(opt Options) (Background, error) {
 	bg.EnergyAbove10mW = ped.EnergyFractionAbove(10e-3)
 	bg.TimeBelow3mW = ped.TimeFractionBelow(3e-3)
 
-	type point struct {
-		tr *trace.Trace
-		c  float64
+	day, err := runSpec(backgroundSpec(ped, 1e-3, 300e-3), opt, 0)
+	if err != nil {
+		return bg, err
 	}
-	points := []point{
-		{ped, 1e-3}, {ped, 300e-3},
-		{night, 1e-3}, {night, 10e-3}, {night, 300e-3},
-	}
-	res, err := runner.Sweep(context.Background(), nil, points,
-		func(ctx context.Context, p point) (sim.Result, error) {
-			return sim.Run(sim.Config{
-				DT:       opt.DT,
-				Frontend: harvest.NewFrontend(p.tr, nil),
-				Buffer:   backgroundBuffer(p.c),
-				Device:   backgroundDevice(),
-			})
-		})
+	nights, err := runSpec(backgroundSpec(night, 1e-3, 10e-3, 300e-3), opt, 0)
 	if err != nil {
 		return bg, err
 	}
 
-	small, large := res[0], res[1]
+	small, large := day[0], day[1]
 	bg.LatencySmall, bg.LatencyLarge = small.Latency, large.Latency
 	bg.CycleSmall, bg.CycleLarge = small.MeanCycle, large.MeanCycle
 	bg.DutySmall = small.OnTime / ped.Duration()
 	bg.DutyLarge = large.OnTime / ped.Duration()
-	bg.NightDuty1mF = res[2].OnTime / night.Duration()
-	bg.NightDuty10mF = res[3].OnTime / night.Duration()
-	bg.NightStarted300mF = res[4].Latency >= 0
+	bg.NightDuty1mF = nights[0].OnTime / night.Duration()
+	bg.NightDuty10mF = nights[1].OnTime / night.Duration()
+	bg.NightStarted300mF = nights[2].Latency >= 0
 	return bg, nil
 }
 
@@ -154,26 +142,23 @@ func (bg Background) Table() *Table {
 // the SC benchmark under the RF Mobile trace, for the 770 µF and 10 mF
 // statics, Morphy, and REACT.
 func Figure6(opt Options) (map[string][]sim.Sample, error) {
-	tr := trace.RFMobile(opt.seed())
 	buffers := []string{"770 µF", "10 mF", "Morphy", "REACT"}
-	series, err := runner.Sweep(context.Background(), nil, buffers,
-		func(ctx context.Context, buf string) ([]sim.Sample, error) {
-			o := opt
-			if o.RecordDT == 0 {
-				o.RecordDT = 0.5
-			}
-			r, err := RunCell(tr, buf, "SC", o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Samples, nil
-		})
+	recordDT := opt.RecordDT
+	if recordDT == 0 {
+		recordDT = 0.5
+	}
+	res, err := runSpec(&scenario.Spec{
+		Name:     "figure-6",
+		Trace:    scenario.TraceSpec{Loaded: trace.RFMobile(opt.seed())},
+		Workload: scenario.WorkloadSpec{Bench: "SC"},
+		Buffers:  scenario.Presets(buffers...),
+	}, opt, recordDT)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]sim.Sample, len(buffers))
 	for i, buf := range buffers {
-		out[buf] = series[i]
+		out[buf] = res[i].Samples
 	}
 	return out, nil
 }
@@ -218,24 +203,17 @@ type Overhead struct {
 // RunOverhead measures the overheads on steady power, the way §5.1 does
 // (DE benchmark, constant supply, five minutes).
 func RunOverhead(opt Options) (Overhead, error) {
-	const duration = 300.0
-	steady := &trace.Trace{Name: "steady 10 mW", DT: 1, Power: make([]float64, int(duration))}
-	for i := range steady.Power {
-		steady.Power[i] = 10e-3
+	noPollREACT := func() buffer.Buffer {
+		cfg := core.DefaultConfig()
+		cfg.SoftwareOverhead = 0
+		return core.New(cfg)
 	}
-
-	res, err := runner.Sweep(context.Background(), nil,
-		[]float64{core.DefaultConfig().SoftwareOverhead, 0},
-		func(ctx context.Context, softwareOverhead float64) (sim.Result, error) {
-			cfg := core.DefaultConfig()
-			cfg.SoftwareOverhead = softwareOverhead
-			return sim.Run(sim.Config{
-				DT:       opt.DT,
-				Frontend: harvest.NewFrontend(steady, nil),
-				Buffer:   core.New(cfg),
-				Device:   mcu.NewDevice(mcu.DefaultProfile(), workload.NewDataEncryption(DEActiveI)),
-			})
-		})
+	res, err := runSpec(&scenario.Spec{
+		Name:     "overhead",
+		Trace:    scenario.TraceSpec{Loaded: trace.Steady("steady 10 mW", 10e-3, 300)},
+		Workload: scenario.WorkloadSpec{Bench: "DE"},
+		Buffers:  []scenario.BufferSpec{{Preset: "REACT"}, {Label: "REACT, no poll", New: noPollREACT}},
+	}, opt, 0)
 	if err != nil {
 		return Overhead{}, err
 	}

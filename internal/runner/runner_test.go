@@ -34,15 +34,15 @@ func TestDoSequentialOrder(t *testing.T) {
 
 func TestDoNilRunnerAndZeroJobs(t *testing.T) {
 	var r *Runner
-	ran := 0
+	var ran atomic.Int64 // the nil runner's jobs run concurrently
 	if err := r.Do(context.Background(), 3, func(_ context.Context, i int) error {
-		ran++
+		ran.Add(1)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ran != 3 {
-		t.Fatalf("nil runner ran %d of 3 jobs", ran)
+	if n := ran.Load(); n != 3 {
+		t.Fatalf("nil runner ran %d of 3 jobs", n)
 	}
 	if err := r.Do(context.Background(), 0, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
@@ -182,17 +182,29 @@ func TestAxisHelpers(t *testing.T) {
 	}
 }
 
-// simCell builds a deterministic simulation cell: a static buffer sized by
-// the buffer axis name, driven by the cell's trace, running DE.
-func simCell(_ context.Context, bench string, tr *trace.Trace, buf string) (sim.Result, error) {
-	size := map[string]float64{"small": 770e-6, "large": 10e-3}[buf]
-	return sim.Run(sim.Config{
-		Frontend: harvest.NewFrontend(tr, nil),
-		Buffer: buffer.NewStatic(buffer.StaticConfig{
-			Name: buf, C: size, VMax: 3.6, LeakI: size * 1e-3, VRated: 6.3,
-		}),
-		Device: mcu.NewDevice(mcu.DefaultProfile(), workload.NewDataEncryption(0.6e-3)),
-	})
+// simGroup builds a deterministic simulation group: one static buffer per
+// buffer-axis name, sized by the name, driven by the group's trace, running
+// DE.
+func simGroup(_ context.Context, bench string, tr *trace.Trace, bufs []string) ([]sim.Result, error) {
+	res := make([]sim.Result, len(bufs))
+	for i, buf := range bufs {
+		size, ok := map[string]float64{"small": 770e-6, "large": 10e-3}[buf]
+		if !ok {
+			return nil, fmt.Errorf("%s: no such buffer", buf)
+		}
+		r, err := sim.Run(sim.Config{
+			Frontend: harvest.NewFrontend(tr, nil),
+			Buffer: buffer.NewStatic(buffer.StaticConfig{
+				Name: buf, C: size, VMax: 3.6, LeakI: size * 1e-3, VRated: 6.3,
+			}),
+			Device: mcu.NewDevice(mcu.DefaultProfile(), workload.NewDataEncryption(0.6e-3)),
+		})
+		if err != nil {
+			return nil, err
+		}
+		res[i] = r
+	}
+	return res, nil
 }
 
 func burstTrace(name string) *trace.Trace {
@@ -215,12 +227,12 @@ func TestRunGridDeterministicAcrossWorkers(t *testing.T) {
 	traces := []*trace.Trace{burstTrace("b0"), burstTrace("b1")}
 	buffers := []string{"small", "large"}
 
-	ref, err := RunGrid(context.Background(), &Runner{Workers: 1}, benches, traces, buffers, simCell)
+	ref, err := RunGrid(context.Background(), &Runner{Workers: 1}, benches, traces, buffers, simGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		g, err := RunGrid(context.Background(), &Runner{Workers: workers}, benches, traces, buffers, simCell)
+		g, err := RunGrid(context.Background(), &Runner{Workers: workers}, benches, traces, buffers, simGroup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,21 +253,22 @@ func TestRunGridDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunGridErrorLabelsCell: a failing cell's error carries its grid
-// coordinates.
+// TestRunGridErrorLabelsCell: a failing group's error carries its grid
+// coordinates, and a group that returns the wrong number of results fails.
 func TestRunGridErrorLabelsCell(t *testing.T) {
 	traces := []*trace.Trace{burstTrace("b0")}
-	_, err := RunGrid(context.Background(), nil, []string{"DE"}, traces, []string{"small", "bad"},
-		func(ctx context.Context, bench string, tr *trace.Trace, buf string) (sim.Result, error) {
-			if buf == "bad" {
-				return sim.Result{}, errors.New("no such buffer")
-			}
-			return simCell(ctx, bench, tr, buf)
-		})
+	_, err := RunGrid(context.Background(), nil, []string{"DE"}, traces, []string{"small", "bad"}, simGroup)
 	if err == nil {
-		t.Fatal("want error from failing cell")
+		t.Fatal("want error from failing group")
 	}
-	if want := "DE/b0/bad: no such buffer"; err.Error() != want {
+	if want := "DE/b0: bad: no such buffer"; err.Error() != want {
 		t.Errorf("error %q, want %q", err, want)
+	}
+	_, err = RunGrid(context.Background(), nil, []string{"DE"}, traces, []string{"small", "large"},
+		func(ctx context.Context, bench string, tr *trace.Trace, bufs []string) ([]sim.Result, error) {
+			return simGroup(ctx, bench, tr, bufs[:1])
+		})
+	if want := "DE/b0: group returned 1 results for 2 buffers"; err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
 	}
 }

@@ -274,7 +274,7 @@ func TestRegisteredScenariosAllFingerprint(t *testing.T) {
 }
 
 // TestValidateRejectsLabelShadowingPreset covers the display-name collision
-// Run.Result/CellNamed would otherwise silently shadow: a custom buffer
+// Run.Result would otherwise silently shadow: a custom buffer
 // whose label equals another buffer's preset name.
 func TestValidateRejectsLabelShadowingPreset(t *testing.T) {
 	s := fpSpec()

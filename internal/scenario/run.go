@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"react/internal/harvest"
-	"react/internal/mcu"
 	"react/internal/runner"
 	"react/internal/sim"
 )
@@ -74,65 +72,15 @@ func (r *Run) Result(buffer string) (sim.Result, bool) {
 	return sim.Result{}, false
 }
 
-// Cell materializes and simulates buffer i of the spec — the unit the
-// engine schedules. Every call builds fresh state (trace, workload,
-// buffer, device), so concurrent cells share nothing.
+// Cell simulates buffer i of the spec alone — a one-item RunBatch. Every
+// call builds fresh state (trace, workload, buffer, device), so concurrent
+// cells share nothing.
 func (s *Spec) Cell(i int, opt RunOptions) (sim.Result, error) {
-	if i < 0 || i >= len(s.Buffers) {
-		return sim.Result{}, fmt.Errorf("scenario %s: buffer index %d out of range", s.Name, i)
-	}
-	if err := opt.Validate(); err != nil {
-		return sim.Result{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	seed := opt.seed(s)
-	tr, err := s.Trace.Build(seed)
+	res, err := RunBatch([]BatchItem{{Spec: s, Buffer: i}}, opt, nil)
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return sim.Result{}, err
 	}
-	conv, err := harvest.ByName(s.Converter)
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	prof, err := s.Device.Build()
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	wl, err := s.Workload.Build(tr, seed, prof)
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	buf, err := s.Buffers[i].Build()
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	dev := mcu.NewDevice(prof, wl)
-	if dev.Scheme, err = s.Device.BuildScheme(); err != nil {
-		return sim.Result{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	dt := opt.DT
-	if dt == 0 {
-		dt = s.DT
-	}
-	return sim.Run(sim.Config{
-		DT:        dt,
-		Frontend:  harvest.NewFrontend(tr, conv),
-		Buffer:    buf,
-		Device:    dev,
-		TailCap:   s.TailCap,
-		RecordDT:  opt.RecordDT,
-		Probe:     opt.Probe,
-		ProbeCell: i,
-	})
-}
-
-// CellNamed runs the buffer with the given display name.
-func (s *Spec) CellNamed(buffer string, opt RunOptions) (sim.Result, error) {
-	for i, bs := range s.Buffers {
-		if bs.DisplayName() == buffer {
-			return s.Cell(i, opt)
-		}
-	}
-	return sim.Result{}, fmt.Errorf("scenario %s: no buffer %q", s.Name, buffer)
+	return res[0], nil
 }
 
 // Run simulates every buffer of the spec over r's worker pool (nil r uses

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"react/internal/mcu"
 	"react/internal/scenario"
 	"react/internal/trace"
 )
@@ -169,10 +170,52 @@ func TestParseSpecRejectsMalformedJSON(t *testing.T) {
 	}
 }
 
-func TestCellNamedUnknownBufferErrors(t *testing.T) {
+func TestRunResultUnknownBuffer(t *testing.T) {
 	s, _ := scenario.Lookup("energy-attack")
-	if _, err := s.CellNamed("1 F", scenario.RunOptions{}); err == nil {
-		t.Error("unknown buffer display name must error")
+	if _, ok := (&scenario.Run{Spec: s}).Result("1 F"); ok {
+		t.Error("unknown buffer display name must not resolve")
+	}
+	if _, err := s.Cell(len(s.Buffers), scenario.RunOptions{}); err == nil {
+		t.Error("out-of-range buffer index must error")
+	}
+}
+
+// TestPresetBufferNames builds every preset: each reports its own name
+// (REACT and Morphy decorate theirs) and a positive capacitance, and an
+// unknown preset is an error.
+func TestPresetBufferNames(t *testing.T) {
+	for _, name := range scenario.PresetBuffers {
+		b, err := scenario.NewPresetBuffer(name)
+		if err != nil {
+			t.Fatalf("preset %q: %v", name, err)
+		}
+		if !strings.Contains(b.Name(), name) {
+			t.Errorf("buffer %q reports name %q", name, b.Name())
+		}
+		if b.Capacitance() <= 0 {
+			t.Errorf("buffer %q has no capacitance", name)
+		}
+	}
+	if _, err := scenario.NewPresetBuffer("1 F"); err == nil {
+		t.Error("unknown preset must error")
+	}
+}
+
+// TestWorkloadSpecBuildNames builds every benchmark's workload, which
+// reports the benchmark's name; an unknown benchmark is an error.
+func TestWorkloadSpecBuildNames(t *testing.T) {
+	tr := trace.RFCart(1)
+	for _, bench := range scenario.Benchmarks {
+		wl, err := scenario.WorkloadSpec{Bench: bench}.Build(tr, 1, mcu.DefaultProfile())
+		if err != nil {
+			t.Fatalf("benchmark %q: %v", bench, err)
+		}
+		if wl.Name() != bench {
+			t.Errorf("workload %q reports name %q", bench, wl.Name())
+		}
+	}
+	if _, err := (scenario.WorkloadSpec{Bench: "XX"}).Build(tr, 1, mcu.DefaultProfile()); err == nil {
+		t.Error("unknown benchmark must error")
 	}
 }
 

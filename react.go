@@ -487,8 +487,9 @@ type (
 	RunProgress = runner.Progress
 	// ResultGrid is a dense benchmark × trace × buffer result store.
 	ResultGrid = runner.Grid
-	// GridCellFunc simulates one cell of a result grid.
-	GridCellFunc = runner.CellFunc
+	// GridGroupFunc simulates one benchmark × trace group of a result
+	// grid: every buffer of the row, results index-parallel to buffers.
+	GridGroupFunc = runner.GroupFunc
 )
 
 // NewResultGrid builds an empty dense result grid over the given axes.
@@ -496,11 +497,11 @@ func NewResultGrid(benchmarks []string, traces []*Trace, buffers []string) *Resu
 	return runner.NewGrid(benchmarks, traces, buffers)
 }
 
-// RunGrid populates a result grid by running cell for every benchmark ×
-// trace × buffer combination over r's worker pool (nil r uses the default
-// pool sized to GOMAXPROCS).
-func RunGrid(ctx context.Context, r *Runner, benchmarks []string, traces []*Trace, buffers []string, cell GridCellFunc) (*ResultGrid, error) {
-	return runner.RunGrid(ctx, r, benchmarks, traces, buffers, cell)
+// RunGrid populates a result grid by running group for every benchmark ×
+// trace pair over r's worker pool (nil r uses the default pool sized to
+// GOMAXPROCS); each call fills that pair's whole buffer row.
+func RunGrid(ctx context.Context, r *Runner, benchmarks []string, traces []*Trace, buffers []string, group GridGroupFunc) (*ResultGrid, error) {
+	return runner.RunGrid(ctx, r, benchmarks, traces, buffers, group)
 }
 
 // Sweep runs fn once per point over r's worker pool and returns the results
