@@ -2,8 +2,11 @@ package scenario_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -182,11 +185,20 @@ func TestGoldenScenarios(t *testing.T) {
 	}
 }
 
+// paperGridDigest is the sha256 of the %+v rendering of all 100 paper-grid
+// cells' sim.Result (ledgers and metric maps included), in bench × trace ×
+// buffer order. Floats render at their shortest round-trip precision and
+// maps in sorted key order, so a match means every cell is bit-identical,
+// which the 1e-9 golden diff alone cannot show. Regenerate it only for an
+// intentional physics change.
+const paperGridDigest = "12358b7307e2c91ceb549a97ddf5891de8da7f7785ed7ac16ab8e9159346c098"
+
 // TestGoldenPaperGrid runs the full paper evaluation through the
 // registry-consuming grid path, diffs every cell against the paper
-// scenarios' golden files, and pins the Figure 7 headline numbers to the
-// values recorded in BENCH_1.json — a zero-diff guarantee that the
-// scenario port did not move the paper's results.
+// scenarios' golden files, pins the whole grid bit for bit by digest, and
+// pins the Figure 7 headline numbers to the values recorded in
+// BENCH_1.json — a zero-diff guarantee that the scenario port did not move
+// the paper's results.
 func TestGoldenPaperGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid takes ~1 minute")
@@ -197,12 +209,14 @@ func TestGoldenPaperGrid(t *testing.T) {
 	}
 
 	// Cell-level goldens, one file per paper scenario (bench × trace).
+	h := sha256.New()
 	for _, bench := range experiments.BenchmarkNames {
 		for _, tr := range g.Traces {
 			name := scenario.PaperName(bench, tr.Name)
 			got := goldenFile{Scenario: name, Seed: 1, Buffers: map[string]goldenCell{}}
 			for _, buf := range experiments.BufferNames {
 				res := g.At(bench, tr.Name, buf)
+				fmt.Fprintf(h, "%+v\n", res)
 				got.Buffers[buf] = toGolden(res)
 				simtest.CheckBalance(t, name+"/"+buf, res, 1e-6)
 			}
@@ -215,6 +229,9 @@ func TestGoldenPaperGrid(t *testing.T) {
 				diffCell(t, name+"/"+label, got.Buffers[label], w)
 			}
 		}
+	}
+	if sum := hex.EncodeToString(h.Sum(nil)); !*update && sum != paperGridDigest {
+		t.Errorf("paper grid digest = %s, want %s", sum, paperGridDigest)
 	}
 
 	// Headline check against the benchmark history file at the repo root.
