@@ -97,13 +97,13 @@ func (d *Dewdrop) Harvest(dE float64) {
 		return
 	}
 	d.ledger.Harvested += dE
-	circuit.StoreEnergy(&d.cap, dE, 0)
+	d.cap.Store(dE, 0)
 	d.ledger.Clipped += d.cap.Clip()
 }
 
 // Draw implements Buffer.
 func (d *Dewdrop) Draw(dE float64) float64 {
-	got := circuit.DrawEnergy(&d.cap, dE)
+	got := d.cap.Draw(dE)
 	d.ledger.Consumed += got
 	return got
 }

@@ -119,7 +119,7 @@ func (b *Buffer) Harvest(dE float64) {
 			take = room
 		}
 		for _, c := range b.active() {
-			circuit.StoreEnergy(c, take*c.C/railC, 0)
+			c.Store(take*c.C/railC, 0)
 		}
 		dE -= take
 	}
@@ -134,7 +134,7 @@ func (b *Buffer) Harvest(dE float64) {
 		if take > room {
 			take = room
 		}
-		circuit.StoreEnergy(r, take, 0)
+		r.Store(take, 0)
 		dE -= take
 	}
 	// Whatever remains has nowhere to go.
@@ -149,7 +149,7 @@ func (b *Buffer) Draw(dE float64) float64 {
 	}
 	var got float64
 	for _, c := range b.active() {
-		got += circuit.DrawEnergy(c, dE*c.C/railC)
+		got += c.Draw(dE * c.C / railC)
 	}
 	b.ledger.Consumed += got
 	return got
@@ -201,7 +201,7 @@ func (b *Buffer) Tick(now, dt float64, deviceOn bool) {
 	over := (b.cfg.BaseOverheadW + b.cfg.OverheadPerBankW*float64(b.mode+1)) * dt
 	var drawn float64
 	for _, c := range b.active() {
-		drawn += circuit.DrawEnergy(c, over*c.C/b.Capacitance())
+		drawn += c.Draw(over * c.C / b.Capacitance())
 	}
 	b.ledger.Overhead += drawn
 	b.poll -= dt

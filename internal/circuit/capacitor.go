@@ -58,6 +58,33 @@ func (c *Capacitor) AddCharge(dq float64) float64 {
 	return dq
 }
 
+// Store delivers dE joules into the capacitor through a diode with forward
+// drop vDrop (see StoreDQ) and returns the charge delivered.
+func (c *Capacitor) Store(dE, vDrop float64) float64 {
+	return c.AddCharge(StoreDQ(c.C, c.Voltage(), dE, vDrop))
+}
+
+// Draw withdraws up to dE joules (see DrawDQ) and returns the energy
+// actually removed, less than dE only if the capacitor empties first.
+func (c *Capacitor) Draw(dE float64) float64 {
+	dq := DrawDQ(c.C, c.Voltage(), dE)
+	if dq == 0 {
+		return 0
+	}
+	before := c.Energy()
+	c.AddCharge(-dq)
+	return clampDrawn(before - c.Energy())
+}
+
+// clampDrawn floors an energy difference at zero: a withdrawal can round
+// to a hair below nothing, never truly negative.
+func clampDrawn(drawn float64) float64 {
+	if drawn < 0 {
+		return 0
+	}
+	return drawn
+}
+
 // SetVoltage forces the capacitor to voltage v, discarding or creating
 // charge as needed. Intended for initial conditions only.
 func (c *Capacitor) SetVoltage(v float64) {

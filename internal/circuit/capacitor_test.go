@@ -182,12 +182,30 @@ func TestEqualizeParallelEmpty(t *testing.T) {
 	}
 }
 
+// transfer conducts src into dst through a diode with forward drop vDrop,
+// the way a REACT bank's output diode feeds the last-level buffer, and
+// returns the charge moved and the energy dissipated.
+func transfer(src, dst *Capacitor, vDrop float64) (dq, loss float64) {
+	dq = TransferDQ(src.Voltage(), dst.Voltage(), src.C, dst.C, vDrop)
+	if dq == 0 {
+		return 0, 0
+	}
+	before := src.Energy() + dst.Energy()
+	src.AddCharge(-dq)
+	dst.AddCharge(dq)
+	loss = before - src.Energy() - dst.Energy()
+	if loss < 0 && loss > -1e-15 {
+		loss = 0 // rounding guard
+	}
+	return dq, loss
+}
+
 func TestTransferOneWayBlocksReverse(t *testing.T) {
 	lo := &Capacitor{C: 1e-3}
 	hi := &Capacitor{C: 1e-3}
 	lo.SetVoltage(1.0)
 	hi.SetVoltage(3.0)
-	dq, loss := TransferOneWay(lo, hi, 0)
+	dq, loss := transfer(lo, hi, 0)
 	if dq != 0 || loss != 0 {
 		t.Error("diode must not conduct from low to high")
 	}
@@ -198,7 +216,7 @@ func TestTransferOneWayEqualizes(t *testing.T) {
 	dst := &Capacitor{C: 1e-3}
 	src.SetVoltage(3.0)
 	dst.SetVoltage(1.0)
-	dq, loss := TransferOneWay(src, dst, 0)
+	dq, loss := transfer(src, dst, 0)
 	approx(t, src.Voltage(), 2.0, 1e-9, "source settles at midpoint")
 	approx(t, dst.Voltage(), 2.0, 1e-9, "dest settles at midpoint")
 	approx(t, dq, 1e-3, 1e-12, "transferred charge")
@@ -211,14 +229,13 @@ func TestTransferOneWaySchottkyDropStopsEarly(t *testing.T) {
 	dst := &Capacitor{C: 1e-3}
 	src.SetVoltage(3.0)
 	dst.SetVoltage(1.0)
-	_, _ = TransferOneWay(src, dst, 0.3)
+	_, _ = transfer(src, dst, 0.3)
 	approx(t, src.Voltage()-dst.Voltage(), 0.3, 1e-9, "conduction stops at the forward drop")
 }
 
 func TestStoreEnergyFromZeroVolts(t *testing.T) {
 	c := &Capacitor{C: 1e-3}
-	dq, loss := StoreEnergy(c, 1e-3, 0)
-	approx(t, loss, 0, 1e-15, "ideal diode, no drop loss")
+	dq := c.Store(1e-3, 0)
 	approx(t, c.Energy(), 1e-3, 1e-12, "all energy stored")
 	if dq <= 0 {
 		t.Error("charge must be delivered")
@@ -228,22 +245,28 @@ func TestStoreEnergyFromZeroVolts(t *testing.T) {
 func TestStoreEnergyWithDropLoses(t *testing.T) {
 	c := &Capacitor{C: 1e-3}
 	c.SetVoltage(2.0)
-	dq, loss := StoreEnergy(c, 1e-3, 0.3)
-	approx(t, loss, 0.3*dq, 1e-15, "drop loss = vDrop·dq")
-	approx(t, c.Energy()-0.5*1e-3*4, 1e-3-loss, 1e-9, "stored = delivered − loss")
+	dq := c.Store(1e-3, 0.3)
+	if dq <= 0 {
+		t.Fatal("charge must be delivered")
+	}
+	approx(t, c.Energy()-0.5*1e-3*4, 1e-3-0.3*dq, 1e-9, "stored = delivered − vDrop·dq")
 }
 
 func TestStoreEnergyNowhere(t *testing.T) {
 	ch := NewChain()
-	_, loss := StoreEnergy(ch, 1e-3, 0)
-	approx(t, loss, 1e-3, 0, "zero capacitance burns the energy")
+	if dq := ch.Store(1e-3, 0); dq != 0 || ch.Energy() != 0 {
+		t.Errorf("zero capacitance must store nothing, got dq %g, E %g", dq, ch.Energy())
+	}
+	if dq := StoreDQ(0, 0, 1e-3, 0); dq != 0 {
+		t.Errorf("StoreDQ into 0 F = %g, want 0", dq)
+	}
 }
 
 func TestDrawEnergyExact(t *testing.T) {
 	c := &Capacitor{C: 1e-3}
 	c.SetVoltage(3.0)
 	before := c.Energy()
-	got := DrawEnergy(c, 1e-3)
+	got := c.Draw(1e-3)
 	approx(t, got, 1e-3, 1e-12, "requested energy drawn")
 	approx(t, before-c.Energy(), 1e-3, 1e-12, "stored energy fell by the same amount")
 }
@@ -252,14 +275,14 @@ func TestDrawEnergyDrainsCompletely(t *testing.T) {
 	c := &Capacitor{C: 1e-3}
 	c.SetVoltage(2.0)
 	avail := c.Energy()
-	got := DrawEnergy(c, 10*avail)
+	got := c.Draw(10 * avail)
 	approx(t, got, avail, 1e-12, "over-draw returns what was available")
 	approx(t, c.Voltage(), 0, 1e-12, "capacitor empty")
 }
 
 func TestDrawEnergyFromEmpty(t *testing.T) {
 	c := &Capacitor{C: 1e-3}
-	if DrawEnergy(c, 1) != 0 {
+	if c.Draw(1) != 0 {
 		t.Error("nothing to draw from an empty capacitor")
 	}
 }
@@ -292,14 +315,18 @@ func TestEqualizeParallelProperties(t *testing.T) {
 }
 
 // Property: a store/draw round trip through an ideal diode returns the
-// energy put in, to numerical tolerance.
+// energy put in, to numerical tolerance, for a lone capacitor and for a
+// two-member series chain.
 func TestStoreDrawRoundTrip(t *testing.T) {
 	f := func(cu, eu uint16) bool {
 		c := &Capacitor{C: 1e-6 + float64(cu)*1e-7}
 		dE := 1e-9 + float64(eu)*1e-8
-		StoreEnergy(c, dE, 0)
-		got := DrawEnergy(c, dE)
-		return math.Abs(got-dE) <= 1e-9*(1+dE)
+		c.Store(dE, 0)
+		got := c.Draw(dE)
+		ch := NewChain(&Capacitor{C: c.C}, &Capacitor{C: 2 * c.C})
+		ch.Store(dE, 0)
+		gotCh := ch.Draw(dE)
+		return math.Abs(got-dE) <= 1e-9*(1+dE) && math.Abs(gotCh-dE) <= 1e-9*(1+dE)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -317,7 +344,7 @@ func TestTransferOneWayProperties(t *testing.T) {
 		src.SetVoltage(vs)
 		dst.SetVoltage(vd)
 		qBefore := src.Q + dst.Q
-		_, loss := TransferOneWay(src, dst, 0)
+		_, loss := transfer(src, dst, 0)
 		if loss < 0 {
 			return false
 		}
@@ -337,8 +364,8 @@ func TestTransferOneWayProperties(t *testing.T) {
 func TestDrawEnergyExactDrainNoNaN(t *testing.T) {
 	c := &Capacitor{C: 1e-6 + float64(0x2540)*1e-7}
 	dE := 1e-9 + float64(0x557e)*1e-8
-	StoreEnergy(c, dE, 0)
-	got := DrawEnergy(c, dE)
+	c.Store(dE, 0)
+	got := c.Draw(dE)
 	if math.IsNaN(got) || math.Abs(got-dE) > 1e-9*(1+dE) {
 		t.Errorf("round trip of %.12g returned %.12g", dE, got)
 	}

@@ -78,6 +78,24 @@ func (ch *Chain) Energy() float64 {
 	return e
 }
 
+// Store delivers dE joules through the chain terminal (see StoreDQ) and
+// returns the charge delivered.
+func (ch *Chain) Store(dE, vDrop float64) float64 {
+	return ch.AddCharge(StoreDQ(ch.Capacitance(), ch.Voltage(), dE, vDrop))
+}
+
+// Draw withdraws up to dE joules through the chain terminal (see DrawDQ)
+// and returns the energy actually removed.
+func (ch *Chain) Draw(dE float64) float64 {
+	dq := DrawDQ(ch.Capacitance(), ch.Voltage(), dE)
+	if dq == 0 {
+		return 0
+	}
+	before := ch.Energy()
+	ch.AddCharge(-dq)
+	return clampDrawn(before - ch.Energy())
+}
+
 // AddCharge moves dq through the chain terminal: every member's charge
 // changes by dq (series current is common). A member whose charge crosses
 // zero keeps conducting and charges in reverse — exactly what happens to a
@@ -143,82 +161,49 @@ func EqualizeParallel(nodes ...Node) (v, loss float64) {
 	return v, loss
 }
 
-// TransferOneWay conducts charge from src to dst through a diode with
-// forward drop vDrop, stopping when V(src) = V(dst) + vDrop (or immediately
-// if src is not above that level). It returns the charge moved and the
-// energy dissipated in the diode and interconnect.
-func TransferOneWay(src, dst Node, vDrop float64) (dq, loss float64) {
-	vs, vd := src.Voltage(), dst.Voltage()
-	if vs <= vd+vDrop {
-		return 0, 0
-	}
-	cs, cd := src.Capacitance(), dst.Capacitance()
-	if cs == 0 || cd == 0 {
-		return 0, 0
+// TransferDQ is the charge a diode with forward drop vDrop conducts from a
+// source at vs (capacitance cs) to a destination at vd (capacitance cd)
+// before V(src) = V(dst) + vDrop. It is 0 when the source is not above that
+// level or either side has no capacitance.
+func TransferDQ(vs, vd, cs, cd, vDrop float64) float64 {
+	if vs <= vd+vDrop || cs == 0 || cd == 0 {
+		return 0
 	}
 	// Charge balance: vs - dq/cs = vd + dq/cd + vDrop.
-	dq = (vs - vd - vDrop) * cs * cd / (cs + cd)
-	before := src.Energy() + dst.Energy()
-	src.AddCharge(-dq)
-	dst.AddCharge(dq)
-	loss = before - src.Energy() - dst.Energy()
-	if loss < 0 && loss > -1e-15 {
-		loss = 0
-	}
-	return dq, loss
+	return (vs - vd - vDrop) * cs * cd / (cs + cd)
 }
 
-// StoreEnergy delivers dE joules into the node at constant power through a
-// diode with forward drop vDrop, integrating the charge exactly (including
-// from zero volts). It returns the charge delivered and the energy lost in
-// the drop; the remainder, dE − loss, ends up stored.
+// StoreDQ is the charge that delivers dE joules at constant power into
+// capacitance c, starting at terminal voltage v, through a diode with
+// forward drop vDrop, integrated exactly (including from zero volts). The
+// source pays vDrop·dq in the drop; the remainder, dE − vDrop·dq, ends up
+// stored. It is 0 when dE ≤ 0 or c = 0 (nowhere to put it).
 //
 // Derivation: pushing charge dq into capacitance C at initial voltage v
 // stores v·dq + dq²/(2C); the source additionally pays vDrop·dq. Solving
 // dE = (v+vDrop)·dq + dq²/(2C) for dq gives the quadratic below.
-func StoreEnergy(n Node, dE, vDrop float64) (dq, loss float64) {
-	if dE <= 0 {
-		return 0, 0
+func StoreDQ(c, v, dE, vDrop float64) float64 {
+	if dE <= 0 || c == 0 {
+		return 0
 	}
-	c := n.Capacitance()
-	if c == 0 {
-		return 0, dE // nowhere to put it; burned in the source
-	}
-	v := n.Voltage() + vDrop
-	dq = c * (math.Sqrt(v*v+2*dE/c) - v)
-	n.AddCharge(dq)
-	loss = vDrop * dq
-	return dq, loss
+	v += vDrop
+	return c * (math.Sqrt(v*v+2*dE/c) - v)
 }
 
-// DrawEnergy withdraws up to dE joules from the node and returns the energy
-// actually removed (less than dE only if the node empties first). The
-// withdrawal integrates charge exactly over the voltage sag.
-func DrawEnergy(n Node, dE float64) float64 {
-	if dE <= 0 {
+// DrawDQ is the terminal charge that withdraws dE joules from capacitance c
+// at terminal voltage v, integrated exactly over the voltage sag, or all of
+// c·v when the node holds dE or less. It is 0 when dE ≤ 0, c = 0 or v ≤ 0.
+func DrawDQ(c, v, dE float64) float64 {
+	if dE <= 0 || c == 0 || v <= 0 {
 		return 0
 	}
-	c := n.Capacitance()
-	v := n.Voltage()
-	if c == 0 || v <= 0 {
-		return 0
-	}
-	before := n.Energy()
 	// Energy extractable at the terminal before voltage reaches zero.
 	maxTerm := c * v * v / 2
-	var dq float64
 	// v·dq − dq²/(2C) = dE  ⇒  dq = C(v − sqrt(v² − 2dE/C)). When dE is
 	// within rounding of maxTerm the radicand can come out negative even
 	// though dE < maxTerm held; both cases drain the node fully.
 	if rad := v*v - 2*dE/c; dE < maxTerm && rad > 0 {
-		dq = c * (v - math.Sqrt(rad))
-	} else {
-		dq = c * v
+		return c * (v - math.Sqrt(rad))
 	}
-	n.AddCharge(-dq)
-	drawn := before - n.Energy()
-	if drawn < 0 {
-		drawn = 0
-	}
-	return drawn
+	return c * v
 }

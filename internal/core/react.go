@@ -96,9 +96,10 @@ type Buffer struct {
 	ledger buffer.Ledger
 	poll   float64 // seconds until the next controller poll
 
-	// scratch backs connected() so the per-tick Harvest path does not
-	// allocate; its contents are only valid within one call.
-	scratch []circuit.Node
+	// volts is Harvest's scratch: volts[0] is the LLB voltage and
+	// volts[i+1] bank i's, read once per call (stale for disconnected
+	// banks).
+	volts []float64
 
 	// guarantee caches GuaranteedEnergy per level. The table depends only
 	// on the immutable config, and workloads probe it every step through
@@ -123,6 +124,7 @@ func New(cfg Config) *Buffer {
 	for _, spec := range cfg.Banks {
 		b.banks = append(b.banks, NewBank(spec))
 	}
+	b.volts = make([]float64, 1+len(b.banks))
 	if b.poll == 0 && cfg.PollHz > 0 {
 		b.poll = 1 / cfg.PollHz
 	}
@@ -143,19 +145,6 @@ func (b *Buffer) Config() Config { return b.cfg }
 // Banks exposes the bank states for inspection (tests, tracing).
 func (b *Buffer) Banks() []*Bank { return b.banks }
 
-// connected returns the nodes currently joined to the rail, LLB first. The
-// slice is scratch storage shared across calls — do not retain it.
-func (b *Buffer) connected() []circuit.Node {
-	nodes := append(b.scratch[:0], &b.llb)
-	for _, bank := range b.banks {
-		if bank.State != Disconnected {
-			nodes = append(nodes, bank)
-		}
-	}
-	b.scratch = nodes
-	return nodes
-}
-
 // Harvest implements buffer.Buffer. Incoming charge flows through the input
 // ideal diodes to the lowest-voltage connected node — the paper's "current
 // flows from the harvester to the lowest-voltage bank first". Nodes within
@@ -165,31 +154,48 @@ func (b *Buffer) Harvest(dE float64) {
 		return
 	}
 	b.ledger.Harvested += dE
-	nodes := b.connected()
-	minV := math.Inf(1)
-	for _, n := range nodes {
-		if v := n.Voltage(); v < minV {
-			minV = v
+	// The connected nodes are the LLB, then the connected banks in order;
+	// every sum below runs in that order.
+	volts := b.volts
+	volts[0] = b.llb.Voltage()
+	minV := volts[0]
+	for i, bank := range b.banks {
+		if bank.State == Disconnected {
+			continue
+		}
+		volts[i+1] = bank.Voltage()
+		if volts[i+1] < minV {
+			minV = volts[i+1]
 		}
 	}
 	const tie = 1e-3
+	llbIn := volts[0] <= minV+tie
 	var groupC float64
-	for _, n := range nodes {
-		if n.Voltage() <= minV+tie {
-			groupC += n.Capacitance()
+	if llbIn {
+		groupC += b.llb.C
+	}
+	for i, bank := range b.banks {
+		if bank.State != Disconnected && volts[i+1] <= minV+tie {
+			groupC += bank.Capacitance()
 		}
 	}
 	if groupC == 0 {
 		b.ledger.Clipped += dE
 		return
 	}
-	for _, n := range nodes {
-		if n.Voltage() > minV+tie {
+	drop := b.cfg.DiodeDrop
+	if llbIn {
+		dq := b.llb.Store(dE*b.llb.C/groupC, drop)
+		b.ledger.SwitchLoss += drop * dq
+	}
+	for i, bank := range b.banks {
+		if bank.State == Disconnected || volts[i+1] > minV+tie {
 			continue
 		}
-		share := dE * n.Capacitance() / groupC
-		_, loss := circuit.StoreEnergy(n, share, b.cfg.DiodeDrop)
-		b.ledger.SwitchLoss += loss
+		c := bank.Capacitance()
+		dq := circuit.StoreDQ(c, volts[i+1], dE*c/groupC, drop)
+		bank.AddCharge(dq)
+		b.ledger.SwitchLoss += drop * dq
 	}
 	b.clip()
 }
@@ -197,12 +203,12 @@ func (b *Buffer) Harvest(dE float64) {
 // Draw implements buffer.Buffer. The device is supplied from the LLB only;
 // banks replenish it through their output diodes during Tick.
 func (b *Buffer) Draw(dE float64) float64 {
-	got := circuit.DrawEnergy(&b.llb, dE)
+	got := b.llb.Draw(dE)
 	if got < dE {
 		// LLB alone could not cover the demand within this tick; let the
 		// banks conduct immediately (the output diodes are not clocked).
 		b.relax()
-		got += circuit.DrawEnergy(&b.llb, dE-got)
+		got += b.llb.Draw(dE - got)
 	}
 	b.ledger.Consumed += got
 	return got
@@ -237,7 +243,8 @@ func (b *Buffer) Capacitance() float64 {
 func (b *Buffer) relax() {
 	for iter := 0; iter < 4*len(b.banks)+4; iter++ {
 		var donor *Bank
-		best := b.llb.Voltage() + b.cfg.DiodeDrop + 1e-9
+		vLLB := b.llb.Voltage()
+		best := vLLB + b.cfg.DiodeDrop + 1e-9
 		for _, bank := range b.banks {
 			if bank.State == Disconnected {
 				continue
@@ -250,8 +257,17 @@ func (b *Buffer) relax() {
 		if donor == nil {
 			return
 		}
-		_, loss := circuit.TransferOneWay(donor, &b.llb, b.cfg.DiodeDrop)
-		b.ledger.SwitchLoss += loss
+		// best is now the donor's voltage.
+		if dq := circuit.TransferDQ(best, vLLB, donor.Capacitance(), b.llb.C, b.cfg.DiodeDrop); dq != 0 {
+			before := donor.Energy() + b.llb.Energy()
+			donor.AddCharge(-dq)
+			b.llb.AddCharge(dq)
+			loss := before - donor.Energy() - b.llb.Energy()
+			if loss < 0 && loss > -1e-15 {
+				loss = 0 // rounding guard
+			}
+			b.ledger.SwitchLoss += loss
+		}
 		b.ledger.Clipped += b.llb.Clip()
 	}
 }
@@ -287,7 +303,7 @@ func (b *Buffer) Tick(now, dt float64, deviceOn bool) {
 		}
 	}
 	over := (b.cfg.BaseOverheadW + b.cfg.OverheadPerBankW*float64(connected)) * dt
-	b.ledger.Overhead += circuit.DrawEnergy(&b.llb, over)
+	b.ledger.Overhead += b.llb.Draw(over)
 	b.poll -= dt
 	if b.poll <= 0 {
 		b.poll += 1 / b.cfg.PollHz

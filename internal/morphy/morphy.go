@@ -83,6 +83,11 @@ type Buffer struct {
 	ledger  buffer.Ledger
 	poll    float64
 	holdoff int // polls remaining before another reconfiguration is allowed
+
+	// guarantee caches GuaranteedEnergy per level. The table depends only
+	// on the immutable config, and workloads probe it every step through
+	// buffer.LevelFor, so it is computed once at construction.
+	guarantee []float64
 }
 
 var (
@@ -111,6 +116,15 @@ func New(cfg Config) *Buffer {
 	b.rebuild()
 	if cfg.PollHz > 0 {
 		b.poll = 1 / cfg.PollHz
+	}
+	b.guarantee = make([]float64, b.MaxLevel()+1)
+	for lvl := 1; lvl <= b.MaxLevel(); lvl++ {
+		var c float64
+		for _, m := range cfg.Partitions[lvl-1] {
+			c += cfg.UnitC / float64(m)
+		}
+		// Usable energy between V_high and the 1.8 V device floor.
+		b.guarantee[lvl] = 0.5 * c * (cfg.VHigh*cfg.VHigh - 1.8*1.8)
 	}
 	return b
 }
@@ -171,7 +185,7 @@ func (b *Buffer) Harvest(dE float64) {
 		return
 	}
 	for _, ch := range b.chains {
-		circuit.StoreEnergy(ch, dE*ch.Capacitance()/total, 0)
+		ch.Store(dE*ch.Capacitance()/total, 0)
 	}
 	b.clip()
 }
@@ -192,7 +206,7 @@ func (b *Buffer) Draw(dE float64) float64 {
 	for iter := 0; iter < 4 && remaining > 1e-18; iter++ {
 		var got float64
 		for _, ch := range b.chains {
-			got += circuit.DrawEnergy(ch, remaining*ch.Capacitance()/total)
+			got += ch.Draw(remaining * ch.Capacitance() / total)
 		}
 		remaining -= got
 		if got == 0 {
@@ -317,10 +331,5 @@ func (b *Buffer) GuaranteedEnergy(level int) float64 {
 	if level > b.MaxLevel() {
 		level = b.MaxLevel()
 	}
-	var c float64
-	for _, m := range b.cfg.Partitions[level-1] {
-		c += b.cfg.UnitC / float64(m)
-	}
-	// Usable energy between V_high and the 1.8 V device floor.
-	return 0.5 * c * (b.cfg.VHigh*b.cfg.VHigh - 1.8*1.8)
+	return b.guarantee[level]
 }
