@@ -340,6 +340,65 @@ func TestCancelStopsARun(t *testing.T) {
 	}
 }
 
+// TestCancelThenResubmitSimulatesAfresh: deleting a queued run releases
+// its cells at once, so an identical submission right after never attaches
+// to the dying cells — every one of its cells is a fresh miss, and it
+// completes. The resubmission follows the delete directly, before the
+// cancelled batch can drain, so a release that waited for the drain would
+// show as a coalesce onto cancelled cells.
+func TestCancelThenResubmitSimulatesAfresh(t *testing.T) {
+	srv, c := newTestService(t, Config{Workers: 1})
+	ctx := context.Background()
+	started := make(chan int, 2)
+	release := make(chan struct{})
+	unblock := mustUnblock(t, release)
+	// Workers=1: the blocker holds the only slot; fastSpec's cells queue.
+	blocker := srv.Submit(blockingSpec(2, started, release), scenario.RunOptions{})
+	<-started
+
+	spec, err := scenario.ParseSpec([]byte(fastSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := srv.Submit(spec, scenario.RunOptions{})
+	if queued.Fingerprint == "" || queued.Status != StatusRunning {
+		t.Fatalf("want a fingerprinted run queued behind the blocker: %+v", queued)
+	}
+	before, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	v := srv.views[queued.ID]
+	srv.mu.Unlock()
+	srv.deleteView(v) // the core of DELETE /runs/{id}
+	again := srv.Submit(spec, scenario.RunOptions{})
+
+	after, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(again.Cells)
+	if newCells := int(after.CellMisses - before.CellMisses); newCells != cells || cells != 2 {
+		t.Errorf("resubmission scheduled %d fresh cells of %d, want all 2", newCells, cells)
+	}
+	if again.Cached || again.Coalesced {
+		t.Errorf("resubmission attached to the cancelled run's cells: %+v", again)
+	}
+
+	unblock()
+	final, err := (&RemoteRun{c: c, ID: again.ID}).Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != StatusDone {
+		t.Fatalf("resubmission finished %q", final.Status)
+	}
+	if _, err := (&RemoteRun{c: c, ID: blocker.ID}).Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEvictionBoundsTheRunViews(t *testing.T) {
 	_, c := newTestService(t, Config{CacheRuns: 1})
 	ctx := context.Background()
