@@ -104,7 +104,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "concurrent simulation cells (0 = GOMAXPROCS)")
-		cache       = flag.Int("cache", service.DefaultCacheRuns, "completed run/sweep views kept for polling and whole-run dedup")
+		cache       = flag.Int("cache", service.DefaultCacheRuns, "terminal run/sweep/exploration views kept for polling (dedupe is per cell)")
 		cacheCells  = flag.Int("cache-cells", service.DefaultCacheCells, "completed cells kept in the content-addressed result cache")
 		dataDir     = flag.String("data-dir", "", "persistent cell store directory (empty = memory only)")
 		self        = flag.String("self", "", "this node's advertised base URL (required with -peers)")

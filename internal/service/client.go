@@ -167,20 +167,67 @@ func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
 // TraceSpans reads the server's raw (node-local, flat) spans for a trace
 // id — the cross-peer merge primitive behind the /trace view endpoints.
 func (c *Client) TraceSpans(ctx context.Context, traceID string) (*TraceResponse, error) {
-	var tr TraceResponse
-	if err := c.do(ctx, http.MethodGet, "/traces/"+url.PathEscape(traceID), nil, &tr); err != nil {
-		return nil, err
-	}
-	return &tr, nil
+	return getResource[TraceResponse](ctx, c, "traces", traceID, "")
 }
 
-// viewTrace fetches one submission's assembled span tree.
-func (c *Client) viewTrace(ctx context.Context, kind, id string) (*TraceResponse, error) {
-	var tr TraceResponse
-	if err := c.do(ctx, http.MethodGet, "/"+kind+"/"+url.PathEscape(id)+"/trace", nil, &tr); err != nil {
+// getResource GETs one addressed resource — kind is the path collection
+// ("runs", "sweeps", "explorations", "traces"), suffix "" for the resource
+// itself or "/trace" for a view's assembled span tree — and decodes it
+// into a fresh T.
+func getResource[T any](ctx context.Context, c *Client, kind, id, suffix string) (*T, error) {
+	var out T
+	if err := c.do(ctx, http.MethodGet, "/"+kind+"/"+url.PathEscape(id)+suffix, nil, &out); err != nil {
 		return nil, err
 	}
-	return &tr, nil
+	return &out, nil
+}
+
+// viewStatus is a submission status the shared Wait loop can read:
+// RunStatus, SweepStatus or ExploreStatus.
+type viewStatus interface {
+	*RunStatus | *SweepStatus | *ExploreStatus
+	state() (id, status, errMsg string)
+}
+
+func (st *RunStatus) state() (string, string, string)     { return st.ID, st.Status, st.Error }
+func (st *SweepStatus) state() (string, string, string)   { return st.ID, st.Status, st.Error }
+func (st *ExploreStatus) state() (string, string, string) { return st.ID, st.Status, st.Error }
+
+// waitView is every handle's Wait: it polls until the view reaches a
+// terminal state, starting from the submission response (nil when the
+// handle was built from a bare id). A failed or cancelled view returns its
+// final status alongside an error.
+func waitView[S viewStatus](ctx context.Context, kind string, submitted S, poll func(context.Context) (S, error)) (S, error) {
+	finish := func(st S) (S, error) {
+		id, status, errMsg := st.state()
+		if status != StatusDone {
+			return st, fmt.Errorf("service: %s %s %s: %s", kind, id, status, errMsg)
+		}
+		return st, nil
+	}
+	if submitted != nil {
+		if _, status, _ := submitted.state(); Terminal(status) {
+			return finish(submitted)
+		}
+	}
+	delay := 10 * time.Millisecond
+	for {
+		st, err := poll(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if _, status, _ := st.state(); Terminal(status) {
+			return finish(st)
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(delay):
+		}
+		if delay < 500*time.Millisecond {
+			delay += delay / 2
+		}
+	}
 }
 
 // RunAsync submits a run and returns a handle immediately; the server
@@ -216,11 +263,7 @@ type RemoteRun struct {
 // Poll fetches the run's current status; completed cells carry results
 // while the rest are still simulating.
 func (r *RemoteRun) Poll(ctx context.Context) (*RunStatus, error) {
-	var st RunStatus
-	if err := r.c.do(ctx, http.MethodGet, "/runs/"+url.PathEscape(r.ID), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return getResource[RunStatus](ctx, r.c, "runs", r.ID, "")
 }
 
 // Cancel asks the server to stop the run (in-flight cells finish; queued
@@ -231,40 +274,13 @@ func (r *RemoteRun) Cancel(ctx context.Context) error {
 
 // Trace fetches the run's span tree, merged across cluster peers.
 func (r *RemoteRun) Trace(ctx context.Context) (*TraceResponse, error) {
-	return r.c.viewTrace(ctx, "runs", r.ID)
+	return getResource[TraceResponse](ctx, r.c, "runs", r.ID, "/trace")
 }
 
 // Wait polls until the run reaches a terminal state. A failed or cancelled
 // run returns its final status alongside an error.
 func (r *RemoteRun) Wait(ctx context.Context) (*RunStatus, error) {
-	if r.Submitted != nil && Terminal(r.Submitted.Status) {
-		return r.finish(r.Submitted)
-	}
-	delay := 10 * time.Millisecond
-	for {
-		st, err := r.Poll(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if Terminal(st.Status) {
-			return r.finish(st)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay < 500*time.Millisecond {
-			delay += delay / 2
-		}
-	}
-}
-
-func (r *RemoteRun) finish(st *RunStatus) (*RunStatus, error) {
-	if st.Status == StatusDone {
-		return st, nil
-	}
-	return st, fmt.Errorf("service: run %s %s: %s", st.ID, st.Status, st.Error)
+	return waitView(ctx, "run", r.Submitted, r.Poll)
 }
 
 // SweepAsync submits a sweep and returns a handle immediately; the server
@@ -303,11 +319,7 @@ type RemoteSweep struct {
 // while the rest are still simulating, and the summary rows appear once
 // the sweep is done.
 func (r *RemoteSweep) Poll(ctx context.Context) (*SweepStatus, error) {
-	var st SweepStatus
-	if err := r.c.do(ctx, http.MethodGet, "/sweeps/"+url.PathEscape(r.ID), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return getResource[SweepStatus](ctx, r.c, "sweeps", r.ID, "")
 }
 
 // Cancel asks the server to stop the sweep. Cells shared with other live
@@ -318,40 +330,13 @@ func (r *RemoteSweep) Cancel(ctx context.Context) error {
 
 // Trace fetches the sweep's span tree, merged across cluster peers.
 func (r *RemoteSweep) Trace(ctx context.Context) (*TraceResponse, error) {
-	return r.c.viewTrace(ctx, "sweeps", r.ID)
+	return getResource[TraceResponse](ctx, r.c, "sweeps", r.ID, "/trace")
 }
 
 // Wait polls until the sweep reaches a terminal state. A failed or
 // cancelled sweep returns its final status alongside an error.
 func (r *RemoteSweep) Wait(ctx context.Context) (*SweepStatus, error) {
-	if r.Submitted != nil && Terminal(r.Submitted.Status) {
-		return r.finish(r.Submitted)
-	}
-	delay := 10 * time.Millisecond
-	for {
-		st, err := r.Poll(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if Terminal(st.Status) {
-			return r.finish(st)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay < 500*time.Millisecond {
-			delay += delay / 2
-		}
-	}
-}
-
-func (r *RemoteSweep) finish(st *SweepStatus) (*SweepStatus, error) {
-	if st.Status == StatusDone {
-		return st, nil
-	}
-	return st, fmt.Errorf("service: sweep %s %s: %s", st.ID, st.Status, st.Error)
+	return waitView(ctx, "sweep", r.Submitted, r.Poll)
 }
 
 // ExploreAsync submits a design-space exploration and returns a handle
@@ -390,11 +375,7 @@ type RemoteExploration struct {
 // Poll fetches the exploration's current status: probed cells carry
 // results as they complete, and Result appears once the strategy drains.
 func (r *RemoteExploration) Poll(ctx context.Context) (*ExploreStatus, error) {
-	var st ExploreStatus
-	if err := r.c.do(ctx, http.MethodGet, "/explorations/"+url.PathEscape(r.ID), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return getResource[ExploreStatus](ctx, r.c, "explorations", r.ID, "")
 }
 
 // Cancel asks the server to stop the exploration. Cells shared with other
@@ -407,38 +388,11 @@ func (r *RemoteExploration) Cancel(ctx context.Context) error {
 // Trace fetches the exploration's span tree, merged across cluster peers
 // — a cross-node exploration renders as one tree.
 func (r *RemoteExploration) Trace(ctx context.Context) (*TraceResponse, error) {
-	return r.c.viewTrace(ctx, "explorations", r.ID)
+	return getResource[TraceResponse](ctx, r.c, "explorations", r.ID, "/trace")
 }
 
 // Wait polls until the exploration reaches a terminal state. A failed or
 // cancelled exploration returns its final status alongside an error.
 func (r *RemoteExploration) Wait(ctx context.Context) (*ExploreStatus, error) {
-	if r.Submitted != nil && Terminal(r.Submitted.Status) {
-		return r.finish(r.Submitted)
-	}
-	delay := 10 * time.Millisecond
-	for {
-		st, err := r.Poll(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if Terminal(st.Status) {
-			return r.finish(st)
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay < 500*time.Millisecond {
-			delay += delay / 2
-		}
-	}
-}
-
-func (r *RemoteExploration) finish(st *ExploreStatus) (*ExploreStatus, error) {
-	if st.Status == StatusDone {
-		return st, nil
-	}
-	return st, fmt.Errorf("service: exploration %s %s: %s", st.ID, st.Status, st.Error)
+	return waitView(ctx, "exploration", r.Submitted, r.Poll)
 }

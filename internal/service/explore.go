@@ -77,7 +77,7 @@ func (s *Server) exploreEvaluator(v *view, vctx context.Context) explore.Evaluat
 		attached := make([]*cell, len(cells))
 		points := map[int]bool{}
 		for i, ec := range cells {
-			key := cellKey{Seed: ec.Seed, DT: resolveDT(ec.Spec, ec.Opt.DT), Buffer: ec.Spec.Buffers[0].DisplayName()}
+			key := cellKey{Seed: ec.Seed, DT: ec.Spec.ResolveDT(ec.Opt.DT), Buffer: ec.Spec.Buffers[0].DisplayName()}
 			attached[i] = s.addCell(v, ec.Spec, 0, ec.Opt, key)
 			v.points = append(v.points, ec.Point)
 			points[ec.Point] = true
@@ -184,24 +184,5 @@ func (s *Server) handleExploreSubmit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	code := http.StatusAccepted
-	if Terminal(st.Status) {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-func (s *Server) handleExplore(w http.ResponseWriter, req *http.Request) {
-	if v := s.lookupView(w, req, "exploration"); v != nil {
-		writeJSON(w, http.StatusOK, s.exploreStatus(v))
-	}
-}
-
-func (s *Server) handleExploreDelete(w http.ResponseWriter, req *http.Request) {
-	v := s.lookupView(w, req, "exploration")
-	if v == nil {
-		return
-	}
-	s.deleteView(v)
-	writeJSON(w, http.StatusOK, s.exploreStatus(v))
+	writeSubmitted(w, st.Status, st)
 }

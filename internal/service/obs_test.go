@@ -243,15 +243,31 @@ func TestRunProgressAndTraceTree(t *testing.T) {
 		t.Errorf("raw trace has %d spans, want >= 4", len(raw.Spans))
 	}
 
-	// A second identical submission is a pure cache hit that returns the
-	// original view — including its trace, which documents the work that
-	// actually produced the cached result.
-	st2, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})
+	// A second identical submission is a pure cell-cache hit: a new view
+	// with its own trace, which records no work — no batch, no sim.
+	r2, err := c.RunAsync(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st2.Cached || st2.TraceID != st.TraceID {
+	st2 := r2.Submitted
+	if !st2.Cached || st2.TraceID == "" || st2.TraceID == st.TraceID {
 		t.Errorf("cached resubmission: cached=%v trace=%q (first %q)", st2.Cached, st2.TraceID, st.TraceID)
+	}
+	tr2, err := r2.Trace(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr2.Roots) != 1 || tr2.Roots[0].Name != "run" {
+		t.Fatalf("cached resubmission trace roots %+v, want one 'run' root", tr2.Roots)
+	}
+	raw2, err := c.TraceSpans(ctx, st2.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range raw2.Spans {
+		if sp.Name == "batch" || sp.Name == "sim" {
+			t.Errorf("cached resubmission trace has a %q span; it did no work", sp.Name)
+		}
 	}
 }
 

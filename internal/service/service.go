@@ -3,14 +3,16 @@
 // with a content-addressed, single-flight result cache.
 //
 // The cache operates at cell granularity — one buffer of one spec under
-// resolved seed/timestep options (scenario.Spec.FingerprintCell). Runs and
-// sweeps are views assembled from shared cell entries: a repeat of a
-// completed cell is served in O(1), concurrent submissions that overlap on
-// any cell attach to the one in-flight simulation instead of duplicating
-// it, and a run submitted while a sweep covering its cells is in flight
-// coalesces per cell. Work executes asynchronously — a submit returns an
-// id immediately, fresh cells fan out over a bounded global semaphore, and
-// partial results are visible while a view drains.
+// resolved seed/timestep options (scenario.Spec.FingerprintCell) — and the
+// cell tier is the only cache. Runs, sweeps and explorations are views
+// assembled from shared cell entries: a repeat of a completed cell is
+// served in O(1), concurrent submissions that overlap on any cell attach to
+// the one in-flight simulation instead of duplicating it, and a run
+// submitted while a sweep covering its cells is in flight coalesces per
+// cell. Every submission gets its own view (id and trace); terminal views
+// are kept only for polling. Work executes asynchronously — a submit
+// returns an id immediately, fresh cells fan out over a bounded global
+// semaphore, and partial results are visible while a view drains.
 //
 // Endpoints:
 //
@@ -59,7 +61,7 @@ import (
 	"react/internal/store"
 )
 
-// DefaultCacheRuns bounds the finished run/sweep views kept for reuse when
+// DefaultCacheRuns bounds the terminal views kept for polling when
 // Config.CacheRuns is zero.
 const DefaultCacheRuns = 64
 
@@ -73,9 +75,10 @@ type Config struct {
 	// Workers bounds concurrently simulating cells across all runs and
 	// sweeps (0 = GOMAXPROCS).
 	Workers int
-	// CacheRuns bounds the finished run/sweep views kept for polling and
-	// whole-run deduplication (0 = DefaultCacheRuns). In-flight views are
-	// never evicted. Evicting a view does not evict its cells.
+	// CacheRuns bounds the terminal views — done, failed or cancelled —
+	// kept for polling (0 = DefaultCacheRuns). Deduplication is per cell,
+	// so evicting a view does not evict its cells; in-flight views are
+	// never evicted.
 	CacheRuns int
 	// CacheCells bounds the finished cells kept for content-addressed
 	// reuse (0 = DefaultCacheCells). In-flight cells are never evicted.
@@ -156,12 +159,10 @@ type Server struct {
 	// refcount field. Lock order: mu before view.mu.
 	mu      sync.Mutex
 	seq     int
-	views   map[string]*view // every tracked run and sweep, by id
-	byFP    map[string]*view // whole-run single-flight index: running or done runs
+	views   map[string]*view // every tracked view, by id
 	cells   map[string]*cell // cell single-flight index: running or cached cells
 	cellLRU *list.List       // cached done cells, most recently used first
-	viewLRU *list.List       // done views kept for polling/dedup, MRU first
-	junk    *list.List       // failed/cancelled views kept briefly for polling
+	viewLRU *list.List       // terminal views kept for polling, newest first
 	// pending holds fresh cells attached but not yet scheduled: a
 	// submission attaches all its cells first, then flushPendingLocked groups
 	// them by (trace, seed, dt) batch key so cells sharing a trace pass
@@ -193,11 +194,6 @@ type batchKey struct {
 	dt    float64
 	rec   float64
 }
-
-// junkRuns bounds the failed/cancelled views kept around for polling. They
-// are tracked separately from the done views so that non-reusable views
-// never evict reusable ones.
-const junkRuns = 32
 
 // maxSweepCells bounds one sweep's fan-out (seeds × dts × buffers).
 const maxSweepCells = 4096
@@ -287,8 +283,7 @@ type view struct {
 	// and sweeps; grows under Server.mu for explorations).
 	cachedCells, coalescedCells, newCells int
 
-	elem *list.Element // slot in home once terminal
-	home *list.List    // the viewLRU (done) or junk (failed/cancelled) list
+	elem *list.Element // slot in viewLRU once terminal
 
 	// detached (cell refs already released) is only touched during
 	// release, which runs with Server.mu held — it belongs to that lock,
@@ -335,11 +330,9 @@ func New(cfg Config) (*Server, error) {
 		log:        cfg.Logger,
 		node:       "local",
 		views:      map[string]*view{},
-		byFP:       map[string]*view{},
 		cells:      map[string]*cell{},
 		cellLRU:    list.New(),
 		viewLRU:    list.New(),
-		junk:       list.New(),
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
@@ -351,17 +344,13 @@ func New(cfg Config) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /scenarios", s.handleScenarios)
 	mux.HandleFunc("POST /runs", s.handleSubmit)
-	mux.HandleFunc("GET /runs/{id}", s.handleRun)
-	mux.HandleFunc("GET /runs/{id}/trace", s.handleViewTrace("run"))
-	mux.HandleFunc("DELETE /runs/{id}", s.handleDelete)
 	mux.HandleFunc("POST /sweeps", s.handleSweepSubmit)
-	mux.HandleFunc("GET /sweeps/{id}", s.handleSweep)
-	mux.HandleFunc("GET /sweeps/{id}/trace", s.handleViewTrace("sweep"))
-	mux.HandleFunc("DELETE /sweeps/{id}", s.handleSweepDelete)
 	mux.HandleFunc("POST /explorations", s.handleExploreSubmit)
-	mux.HandleFunc("GET /explorations/{id}", s.handleExplore)
-	mux.HandleFunc("GET /explorations/{id}/trace", s.handleViewTrace("exploration"))
-	mux.HandleFunc("DELETE /explorations/{id}", s.handleExploreDelete)
+	for kind, path := range map[string]string{"run": "/runs/{id}", "sweep": "/sweeps/{id}", "exploration": "/explorations/{id}"} {
+		mux.HandleFunc("GET "+path, s.handleView(kind))
+		mux.HandleFunc("DELETE "+path, s.handleView(kind))
+		mux.HandleFunc("GET "+path+"/trace", s.handleViewTrace(kind))
+	}
 	mux.HandleFunc("GET /traces/{id}", s.handleTraceRaw)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
@@ -382,9 +371,9 @@ func (s *Server) initObs() {
 
 	s.submitted = r.Counter("react_runs_submitted_total", "Run submissions accepted (POST /runs and peer forwards).")
 	s.hits = r.Counter("react_run_cache_hits_total", "Run submissions served entirely from cache.")
-	s.coalesced = r.Counter("react_run_coalesced_total", "Run submissions attached to identical in-flight work.")
+	s.coalesced = r.Counter("react_run_coalesced_total", "Run submissions with no fresh cells that joined at least one in flight.")
 	s.misses = r.Counter("react_run_cache_misses_total", "Run submissions that scheduled at least one fresh cell.")
-	s.evictions = r.Counter("react_run_evictions_total", "Finished run/sweep views evicted by LRU pressure.")
+	s.evictions = r.Counter("react_run_evictions_total", "Terminal views evicted past the CacheRuns bound.")
 	s.sweeps = r.Counter("react_sweeps_submitted_total", "Sweep submissions accepted.")
 	s.explorations = r.Counter("react_explorations_submitted_total", "Exploration submissions accepted.")
 	s.explorePoints = r.Counter("react_explore_points_total", "Lattice points probed by exploration strategies.")
@@ -437,7 +426,7 @@ func (s *Server) initObs() {
 		return float64(int64(s.cellsQueued.Load() - s.cellsDone.Load()))
 	})
 	r.GaugeFunc("react_sims_per_sec_60s", "Completed simulations per second over the trailing minute.", s.rate.Rate)
-	r.GaugeFunc("react_run_cache_entries", "Finished views held for reuse.", func() float64 {
+	r.GaugeFunc("react_run_cache_entries", "Terminal views held for polling.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(s.viewLRU.Len())
@@ -925,11 +914,9 @@ func (s *Server) trackLocked(v *view) {
 	}()
 }
 
-// finalizeLocked records a drained view's outcome and files it: done views
-// stay pollable and (for runs) addressable by fingerprint, bounded by LRU
-// eviction; failed and cancelled views leave the whole-run index and are
-// kept only briefly, never displacing reusable views. Called with s.mu
-// held.
+// finalizeLocked records a drained view's outcome and files it among the
+// terminal views kept for polling, evicting the oldest past the CacheRuns
+// bound. Called with s.mu held.
 func (s *Server) finalizeLocked(v *view) {
 	s.releaseCellsLocked(v)
 	v.mu.Lock()
@@ -970,34 +957,18 @@ func (s *Server) finalizeLocked(v *view) {
 	} else {
 		v.root.End(errors.New(errMsg))
 	}
-
-	if status == StatusDone {
-		v.home = s.viewLRU
-		v.elem = s.viewLRU.PushFront(v)
-		for s.viewLRU.Len() > s.cacheRuns {
-			s.evictView(s.viewLRU.Back().Value.(*view))
-			s.evictions.Add(1)
-		}
-		return
-	}
-	if v.fp != "" && s.byFP[v.fp] == v {
-		delete(s.byFP, v.fp)
-	}
-	v.home = s.junk
-	v.elem = s.junk.PushFront(v)
-	for s.junk.Len() > junkRuns {
-		s.evictView(s.junk.Back().Value.(*view))
+	v.elem = s.viewLRU.PushFront(v)
+	for s.viewLRU.Len() > s.cacheRuns {
+		s.evictView(s.viewLRU.Back().Value.(*view))
+		s.evictions.Add(1)
 	}
 }
 
 // evictView forgets a terminal view (its cells stay cached). Called with
 // s.mu held.
 func (s *Server) evictView(v *view) {
-	v.home.Remove(v.elem)
+	s.viewLRU.Remove(v.elem)
 	delete(s.views, v.id)
-	if v.fp != "" && s.byFP[v.fp] == v {
-		delete(s.byFP, v.fp)
-	}
 }
 
 // forgetView is the explicit DELETE of a terminal view: the view is
@@ -1022,17 +993,11 @@ func (s *Server) forgetView(v *view) {
 	}
 }
 
-// getStatus snapshots a view's status under its own lock.
-func (v *view) getStatus() string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.status
-}
-
 // --- run submission ---
 
-// Submit resolves, deduplicates and (if needed) launches a run, returning
-// its submission view. It is the Go-level core of POST /runs.
+// Submit resolves and launches a run, returning its submission view: each
+// cell is attached to the shared cache (reused, joined in flight, or
+// scheduled fresh). It is the Go-level core of POST /runs.
 func (s *Server) Submit(spec *scenario.Spec, opt scenario.RunOptions) *RunStatus {
 	return s.submit(spec, opt, false, obs.SpanContext{})
 }
@@ -1044,38 +1009,16 @@ func (s *Server) Submit(spec *scenario.Spec, opt scenario.RunOptions) *RunStatus
 func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool, parent obs.SpanContext) *RunStatus {
 	s.submitted.Add(1)
 	// A spec with no canonical encoding (Go-only constructors) still runs;
-	// it just cannot be deduplicated or cached.
+	// its cells just cannot be deduplicated or cached.
 	fp, _ := spec.FingerprintRun(opt)
 
 	s.mu.Lock()
-	if fp != "" {
-		if v := s.byFP[fp]; v != nil {
-			status := v.getStatus()
-			if status == StatusDone {
-				s.hits.Add(1)
-				s.viewLRU.MoveToFront(v.elem)
-				s.mu.Unlock()
-				st := s.runStatus(v)
-				st.Cached = true
-				return st
-			}
-			if status == StatusRunning {
-				s.coalesced.Add(1)
-				s.mu.Unlock()
-				st := s.runStatus(v)
-				st.Coalesced = true
-				return st
-			}
-			// A failed or cancelled run should have left the index; fall
-			// through and replace it.
-		}
-	}
 	v := s.newViewLocked("run", "r", spec, opt, parent)
 	v.fp = fp
 	v.noFwd = noFwd
-	seed := ResolveSeed(spec, opt.Seed)
+	seed, dt := spec.ResolveSeed(opt.Seed), spec.ResolveDT(opt.DT)
 	for i := range spec.Buffers {
-		s.addCell(v, spec, i, opt, cellKey{Seed: seed, DT: resolveDT(spec, opt.DT), Buffer: spec.Buffers[i].DisplayName()})
+		s.addCell(v, spec, i, opt, cellKey{Seed: seed, DT: dt, Buffer: spec.Buffers[i].DisplayName()})
 	}
 	s.flushPendingLocked()
 	// The submission's cache disposition: a run with no fresh cells was
@@ -1088,9 +1031,6 @@ func (s *Server) submit(spec *scenario.Spec, opt scenario.RunOptions, noFwd bool
 		s.coalesced.Add(1)
 	default:
 		s.hits.Add(1)
-	}
-	if fp != "" {
-		s.byFP[fp] = v
 	}
 	s.trackLocked(v)
 	s.mu.Unlock()
@@ -1192,19 +1132,6 @@ func (s *Server) submitSweep(spec *scenario.Spec, ax SweepAxes, parent obs.SpanC
 	return s.sweepStatus(v)
 }
 
-// ResolveSeed resolves the effective seed of a spec under an override:
-// 0 means the spec's seed, which itself defaults to 1 (the scenario
-// layer's rule, shared via Spec.ResolveSeed).
-func ResolveSeed(spec *scenario.Spec, seed uint64) uint64 {
-	return spec.ResolveSeed(seed)
-}
-
-// resolveDT resolves the effective timestep of a spec under an override,
-// mirroring the engine's defaults (0 → the spec's → 1 ms).
-func resolveDT(spec *scenario.Spec, dt float64) float64 {
-	return spec.ResolveDT(dt)
-}
-
 // --- wire snapshots ---
 
 // cellStatus snapshots one shared cell into its wire shape.
@@ -1242,7 +1169,7 @@ func (s *Server) runStatus(v *view) *RunStatus {
 	st := &RunStatus{
 		ID:          v.id,
 		Scenario:    v.spec.Name,
-		Seed:        ResolveSeed(v.spec, v.opt.Seed),
+		Seed:        v.spec.ResolveSeed(v.opt.Seed),
 		Fingerprint: v.fp,
 		TraceID:     v.tctx.TraceID.String(),
 		Status:      v.status,
@@ -1322,7 +1249,7 @@ func (s *Server) metrics() *Metrics {
 	tracked := len(s.views)
 	runEntries := s.viewLRU.Len()
 	cellEntries := s.cellLRU.Len()
-	active := tracked - runEntries - s.junk.Len()
+	active := tracked - runEntries
 	s.mu.Unlock()
 
 	queued, done := s.cellsQueued.Load(), s.cellsDone.Load()
@@ -1467,11 +1394,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	st := s.submit(spec, opt, rr.NoForward, parentSpan(req))
-	code := http.StatusAccepted
-	if Terminal(st.Status) {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	writeSubmitted(w, st.Status, st)
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
@@ -1492,8 +1415,15 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	st := s.submitSweep(spec, ax, parentSpan(req))
+	writeSubmitted(w, st.Status, st)
+}
+
+// writeSubmitted answers a submission: 200 with the complete view when it
+// is already terminal (every cell was served from the cache), 202 with
+// the in-flight view otherwise.
+func writeSubmitted(w http.ResponseWriter, status string, st any) {
 	code := http.StatusAccepted
-	if Terminal(st.Status) {
+	if Terminal(status) {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, st)
@@ -1512,15 +1442,27 @@ func (s *Server) lookupView(w http.ResponseWriter, req *http.Request, kind strin
 	return v
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
-	if v := s.lookupView(w, req, "run"); v != nil {
-		writeJSON(w, http.StatusOK, s.runStatus(v))
-	}
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
-	if v := s.lookupView(w, req, "sweep"); v != nil {
-		writeJSON(w, http.StatusOK, s.sweepStatus(v))
+// handleView serves GET (poll) and DELETE (cancel or forget) on a view of
+// the given kind, answering with the view's status either way.
+func (s *Server) handleView(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		v := s.lookupView(w, req, kind)
+		if v == nil {
+			return
+		}
+		if req.Method == http.MethodDelete {
+			s.deleteView(v)
+		}
+		var st any
+		switch kind {
+		case "run":
+			st = s.runStatus(v)
+		case "sweep":
+			st = s.sweepStatus(v)
+		default:
+			st = s.exploreStatus(v)
+		}
+		writeJSON(w, http.StatusOK, st)
 	}
 }
 
@@ -1535,39 +1477,18 @@ func (s *Server) deleteView(v *view) {
 	}
 	v.mu.Unlock()
 	if !terminal {
-		// Leave the whole-run index immediately so new identical
-		// submissions start fresh instead of attaching to a dying run, and
-		// release the cells: ones nobody else wants are cancelled. An
+		// Release the cells immediately: ones nobody else wants are
+		// cancelled and leave the cell index, so an identical submission
+		// starts fresh instead of attaching to dying cells. An
 		// exploration's engine is stopped too, so no further batches attach.
 		if v.vcancel != nil {
 			v.vcancel()
-		}
-		if v.fp != "" && s.byFP[v.fp] == v {
-			delete(s.byFP, v.fp)
 		}
 		s.releaseCellsLocked(v)
 	} else {
 		s.forgetView(v)
 	}
 	s.mu.Unlock()
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request) {
-	v := s.lookupView(w, req, "run")
-	if v == nil {
-		return
-	}
-	s.deleteView(v)
-	writeJSON(w, http.StatusOK, s.runStatus(v))
-}
-
-func (s *Server) handleSweepDelete(w http.ResponseWriter, req *http.Request) {
-	v := s.lookupView(w, req, "sweep")
-	if v == nil {
-		return
-	}
-	s.deleteView(v)
-	writeJSON(w, http.StatusOK, s.sweepStatus(v))
 }
 
 // handleMetrics serves the Prometheus text exposition by default; a client

@@ -65,8 +65,9 @@ func TestScenariosEndpointListsRegistry(t *testing.T) {
 }
 
 // TestLoadSmoke is the load-smoke acceptance test: N concurrent clients
-// submit the identical run; the cache must collapse them into exactly one
-// simulation per cell, and every client must receive the same results.
+// submit the identical run; each gets its own view, but the cell cache
+// must collapse them into exactly one simulation per cell, and every
+// client must receive the same results.
 func TestLoadSmoke(t *testing.T) {
 	_, c := newTestService(t, Config{Workers: 2})
 	const clients = 12
@@ -97,7 +98,7 @@ func TestLoadSmoke(t *testing.T) {
 		t.Fatalf("%d/%d clients failed, first: %v", len(errs), clients, errs[0])
 	}
 
-	// Every client saw the same run: same id, same completed cells.
+	// Every client saw the same completed cells under its own id.
 	first := got[0]
 	if first.Status != StatusDone || len(first.Cells) != 2 {
 		t.Fatalf("unexpected final status: %+v", first)
@@ -107,9 +108,6 @@ func TestLoadSmoke(t *testing.T) {
 		t.Fatalf("REACT cell missing a result: %+v", first.Cells)
 	}
 	for _, st := range got[1:] {
-		if st.ID != first.ID {
-			t.Errorf("clients saw different runs: %s vs %s", st.ID, first.ID)
-		}
 		r, ok := st.Result("REACT")
 		if !ok || r.Metrics["blocks"] != ref.Metrics["blocks"] {
 			t.Errorf("results diverged across clients")
@@ -173,8 +171,11 @@ func TestNamedScenarioRunAndSeedAddressing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.ID != st.ID {
-		t.Error("seed 1 spelled out must hit the defaulted run's cache entry")
+	if st3.Fingerprint != st.Fingerprint || !st3.Cached {
+		t.Error("seed 1 spelled out must hit the defaulted run's cached cells")
+	}
+	if m, _ = c.Metrics(ctx); m.CacheMisses != 2 {
+		t.Errorf("cache misses %d after the cached resubmission, want still 2", m.CacheMisses)
 	}
 }
 
@@ -462,10 +463,10 @@ func TestDeleteForgetsFinishedRun(t *testing.T) {
 	}
 }
 
-// TestFailedRunsDoNotEvictCachedResults pins the two-tier bookkeeping: a
-// run that fails (or is cancelled) must not occupy a result-cache slot,
-// so it can never displace a reusable completed run.
-func TestFailedRunsDoNotEvictCachedResults(t *testing.T) {
+// TestFailedRunsDoNotEvictCachedCells: failed views share the one
+// CacheRuns bound with done views, so a failed run may evict a done view —
+// but never its cells, which keep serving an identical resubmission.
+func TestFailedRunsDoNotEvictCachedCells(t *testing.T) {
 	srv, c := newTestService(t, Config{CacheRuns: 1})
 	ctx := context.Background()
 	if _, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)}); err != nil {
@@ -499,15 +500,23 @@ func TestFailedRunsDoNotEvictCachedResults(t *testing.T) {
 		}
 	}
 	m, _ := c.Metrics(ctx)
-	if m.Evictions != 0 || m.CacheEntries != 1 {
-		t.Errorf("evictions %d entries %d: the failed run displaced the cached result", m.Evictions, m.CacheEntries)
+	if m.RunsTracked > 1 || m.CacheEntries > 1 {
+		t.Errorf("tracked %d views, %d terminal: the failed view escaped the CacheRuns bound of 1", m.RunsTracked, m.CacheEntries)
 	}
+	before := m.CellMisses
 	again, err := c.RunAsync(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.Submitted.Cached {
-		t.Error("the completed run must still be served from the cache")
+		t.Error("the completed run's cells must still be served from the cache")
+	}
+	m, _ = c.Metrics(ctx)
+	if m.CellMisses != before {
+		t.Errorf("cell misses went %d -> %d on a fully cached resubmission", before, m.CellMisses)
+	}
+	if m.RunsTracked > 1 {
+		t.Errorf("tracked %d views, want at most CacheRuns = 1", m.RunsTracked)
 	}
 }
 

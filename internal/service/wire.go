@@ -130,9 +130,10 @@ type RunStatus struct {
 	// TraceID addresses the run's span tree (GET /runs/{id}/trace).
 	TraceID string `json:"trace_id,omitempty"`
 	Status  string `json:"status"`
-	// Cached marks a submission served entirely from the result cache;
-	// Coalesced marks one attached to an identical run already in flight.
-	// Both are properties of the submission, false on later polls.
+	// Cached marks a submission whose every cell was served from the cell
+	// cache; Coalesced marks one with no fresh cells but at least one
+	// joined in flight. Both are properties of the submission, false on
+	// later polls.
 	Cached    bool         `json:"cached,omitempty"`
 	Coalesced bool         `json:"coalesced,omitempty"`
 	Error     string       `json:"error,omitempty"`

@@ -456,7 +456,8 @@ func DialContext(ctx context.Context, baseURL string, opts ...service.DialOption
 // spec produces under the given options: a stable SHA-256 over the
 // canonicalized physics (trace, converter, device, workload, buffers,
 // timestep, tail cap, seed). Equal fingerprints mean bit-identical
-// results; the service deduplicates whole-run submissions on it.
+// results. The service reports it on each run but deduplicates per cell
+// (FingerprintScenarioCell), so identical runs share cells, not views.
 func FingerprintScenario(s *Scenario, opt ScenarioOptions) (string, error) {
 	return s.FingerprintRun(opt)
 }
