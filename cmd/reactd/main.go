@@ -40,10 +40,11 @@
 //	                     (points, bisection bests, Pareto frontiers)
 //	DELETE /explorations/{id}  cancel / forget an exploration
 //	GET    /metrics      Prometheus text exposition of every counter, gauge
-//	                     and latency histogram (JSON with Accept: application/json)
-//	GET    /metrics.json the JSON metrics report: cache hit rates,
-//	                     explore_* counters, queue depth, sims/sec (lifetime
-//	                     and trailing-minute), build info, start time
+//	                     and latency histogram
+//	GET    /metrics.json the same registry's counters and gauges as one
+//	                     JSON object: cache hit rates, explore_* counters,
+//	                     queue depth, sims/sec (lifetime and trailing-minute),
+//	                     start_time_s
 //	GET    /runs/{id}/trace          the run's span tree (also /sweeps/
 //	                     {id}/trace and /explorations/{id}/trace), merged
 //	                     across cluster peers into one tree

@@ -5,9 +5,9 @@ import (
 	"runtime/debug"
 )
 
-// BuildInfoLabels returns build metadata for the build-info gauge and the
-// JSON metrics report: the main module version and Go toolchain, plus the
-// VCS revision and commit time when the build was stamped with them.
+// BuildInfoLabels returns build metadata for the build-info gauge: the
+// main module version and Go toolchain, plus the VCS revision and commit
+// time when the build was stamped with them.
 func BuildInfoLabels() map[string]string {
 	labels := map[string]string{"go_version": "unknown", "version": "unknown"}
 	bi, ok := debug.ReadBuildInfo()

@@ -15,6 +15,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"io"
 	"math"
 	"sort"
@@ -87,72 +88,90 @@ func (h *Histogram) snapshot() []uint64 {
 	return cum
 }
 
-// metricKind discriminates exposition TYPE lines.
-type metricKind int
+// metricKind is a family's exposition TYPE.
+type metricKind string
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindCounter   metricKind = "counter"
+	kindGauge     metricKind = "gauge"
+	kindHistogram metricKind = "histogram"
 )
 
 // metric is one registered family: a single series (plus the synthetic
-// _bucket/_sum/_count series for histograms).
+// _bucket/_sum/_count series for histograms). Counters and plain gauges
+// carry the key they render under in the JSON report; histograms and info
+// gauges have none and are exposition-only.
 type metric struct {
 	name   string
+	key    string
 	help   string
 	kind   metricKind
 	labels map[string]string // constant labels, may be nil
 
 	counter *Counter
-	gauge   *Gauge
-	gaugeFn func() float64
+	gaugeFn func() float64 // every gauge kind reads through this
 	hist    *Histogram
 }
 
-// Registry holds registered metrics and renders them as Prometheus text
-// exposition format (version 0.0.4).
+// Registry holds registered metrics and renders them two ways: as
+// Prometheus text exposition format (version 0.0.4) and as a flat JSON
+// object of every counter and gauge under its key.
 type Registry struct {
 	mu      sync.Mutex
 	byName  map[string]*metric
+	byKey   map[string]*metric
 	ordered []*metric
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*metric)}
+	return &Registry{byName: make(map[string]*metric), byKey: make(map[string]*metric)}
 }
 
-func (r *Registry) register(m *metric) {
-	if !validMetricName(m.name) {
+// register adds m, panicking on an invalid or duplicate name or key; keyed
+// says whether m renders in the JSON report.
+func (r *Registry) register(m *metric, keyed bool) {
+	if !validName(m.name, true) {
 		panic("obs: invalid metric name " + strconv.Quote(m.name))
+	}
+	if keyed && !validName(m.key, false) {
+		panic("obs: invalid JSON key " + strconv.Quote(m.key) + " for " + m.name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byName[m.name]; dup {
 		panic("obs: duplicate metric " + m.name)
 	}
+	if _, dup := r.byKey[m.key]; keyed && dup {
+		panic("obs: duplicate JSON key " + m.key)
+	}
 	r.byName[m.name] = m
+	if keyed {
+		r.byKey[m.key] = m
+	}
 	r.ordered = append(r.ordered, m)
 }
 
-// Counter registers and returns a new counter. Panics on duplicate names.
-func (r *Registry) Counter(name, help string) *Counter {
+// Counter registers and returns a new counter, exposed as name and under
+// the JSON key. Panics on a duplicate name or key.
+func (r *Registry) Counter(name, key, help string) *Counter {
 	c := &Counter{}
-	r.register(&metric{name: name, help: help, kind: kindCounter, counter: c})
+	r.register(&metric{name: name, key: key, help: help, kind: kindCounter, counter: c}, true)
 	return c
 }
 
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
+// Gauge registers and returns a new gauge, exposed as name and under the
+// JSON key.
+func (r *Registry) Gauge(name, key, help string) *Gauge {
 	g := &Gauge{}
-	r.register(&metric{name: name, help: help, kind: kindGauge, gauge: g})
+	r.register(&metric{name: name, key: key, help: help, kind: kindGauge, gaugeFn: g.Load}, true)
 	return g
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&metric{name: name, help: help, kind: kindGauge, gaugeFn: fn})
+// GaugeFunc registers a gauge whose value is computed at scrape time,
+// exposed as name and under the JSON key.
+func (r *Registry) GaugeFunc(name, key, help string, fn func() float64) {
+	r.register(&metric{name: name, key: key, help: help, kind: kindGauge, gaugeFn: fn}, true)
 }
 
 // InfoGauge registers a constant gauge of value 1 carrying labels, the
@@ -162,7 +181,7 @@ func (r *Registry) InfoGauge(name, help string, labels map[string]string) {
 	for k, v := range labels {
 		cp[k] = v
 	}
-	r.register(&metric{name: name, help: help, kind: kindGauge, labels: cp, gaugeFn: func() float64 { return 1 }})
+	r.register(&metric{name: name, help: help, kind: kindGauge, labels: cp, gaugeFn: func() float64 { return 1 }}, false)
 }
 
 // Histogram registers a histogram with the given inclusive bucket upper
@@ -178,21 +197,47 @@ func (r *Registry) Histogram(name, help string, uppers []float64) *Histogram {
 		uppers: append([]float64(nil), uppers...),
 		counts: make([]atomic.Uint64, len(uppers)+1),
 	}
-	r.register(&metric{name: name, help: help, kind: kindHistogram, hist: h})
+	r.register(&metric{name: name, help: help, kind: kindHistogram, hist: h}, false)
 	return h
 }
 
-// WritePrometheus renders every registered metric in text exposition
-// format, sorted by metric name so output is deterministic.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// metrics returns the registered families sorted by name.
+func (r *Registry) metrics() []*metric {
 	r.mu.Lock()
 	ms := make([]*metric, len(r.ordered))
 	copy(ms, r.ordered)
 	r.mu.Unlock()
 	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+	return ms
+}
 
+// WriteJSON renders every counter and gauge as one indented JSON object
+// under its key, keys sorted. Counters render as integers; a NaN or ±Inf
+// gauge, which JSON cannot spell, renders as null.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	out := make(map[string]any)
+	for _, m := range r.metrics() {
+		switch {
+		case m.counter != nil:
+			out[m.key] = m.counter.Load()
+		case m.key != "":
+			if v := m.gaugeFn(); !math.IsNaN(v) && !math.IsInf(v, 0) {
+				out[m.key] = v
+			} else {
+				out[m.key] = nil
+			}
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
+// WritePrometheus renders every registered metric in text exposition
+// format, sorted by metric name so output is deterministic.
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	for _, m := range ms {
+	for _, m := range r.metrics() {
 		b.WriteString("# HELP ")
 		b.WriteString(m.name)
 		b.WriteByte(' ')
@@ -201,26 +246,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		b.WriteString("# TYPE ")
 		b.WriteString(m.name)
 		b.WriteByte(' ')
-		switch m.kind {
-		case kindCounter:
-			b.WriteString("counter")
-		case kindGauge:
-			b.WriteString("gauge")
-		case kindHistogram:
-			b.WriteString("histogram")
-		}
+		b.WriteString(string(m.kind))
 		b.WriteByte('\n')
 		switch m.kind {
 		case kindCounter:
 			writeSample(&b, m.name, m.labels, "", formatUint(m.counter.Load()))
 		case kindGauge:
-			v := 0.0
-			if m.gaugeFn != nil {
-				v = m.gaugeFn()
-			} else {
-				v = m.gauge.Load()
-			}
-			writeSample(&b, m.name, m.labels, "", formatFloat(v))
+			writeSample(&b, m.name, m.labels, "", formatFloat(m.gaugeFn()))
 		case kindHistogram:
 			cum := m.hist.snapshot()
 			for i, upper := range m.hist.uppers {
@@ -238,6 +270,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // writeSample emits one `name{labels} value` line. extra is a pre-rendered
 // label pair (the histogram le) appended after the sorted constant labels.
 func writeSample(b *strings.Builder, name string, labels map[string]string, extra, value string) {
+	writeSeries(b, name, labels, extra)
+	b.WriteByte(' ')
+	b.WriteString(value)
+	b.WriteByte('\n')
+}
+
+// writeSeries emits `name{labels}`, labels sorted and escaped — the
+// canonical series spelling, which ParsePrometheus also keys samples by.
+func writeSeries(b *strings.Builder, name string, labels map[string]string, extra string) {
 	b.WriteString(name)
 	if len(labels) > 0 || extra != "" {
 		b.WriteByte('{')
@@ -263,9 +304,6 @@ func writeSample(b *strings.Builder, name string, labels map[string]string, extr
 		}
 		b.WriteByte('}')
 	}
-	b.WriteByte(' ')
-	b.WriteString(value)
-	b.WriteByte('\n')
 }
 
 func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }
@@ -291,13 +329,15 @@ func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, `"`, `\"`)
 }
 
-// validMetricName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validMetricName(name string) bool {
+// validName reports whether name matches [a-zA-Z_][a-zA-Z0-9_]*, with ':'
+// also allowed anywhere when colon is set: metric names may carry it,
+// label names (and JSON keys) may not.
+func validName(name string, colon bool) bool {
 	if name == "" {
 		return false
 	}
 	for i, r := range name {
-		alpha := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r == '_' || r == ':'
+		alpha := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r == '_' || (colon && r == ':')
 		if !alpha && (i == 0 || r < '0' || r > '9') {
 			return false
 		}

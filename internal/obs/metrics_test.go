@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,32 +64,40 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusRoundTrip renders a mixed registry and re-reads it
-// through the package's own grammar checker, pinning the format contract
-// the CI scrape check relies on: sorted families, cumulative buckets,
-// labeled info gauges, and escaped label values.
-func TestWritePrometheusRoundTrip(t *testing.T) {
+// mixedRegistry holds every metric kind, with label values that need
+// escaping: the fixture for both renderers and the parser's fuzz seed.
+func mixedRegistry() *Registry {
 	r := NewRegistry()
-	c := r.Counter("zz_total", "a counter")
-	g := r.Gauge("aa_gauge", "a gauge")
-	r.GaugeFunc("fn_gauge", "computed", func() float64 { return 2.5 })
+	r.Counter("zz_total", "zz", "a counter").Add(7)
+	r.Gauge("aa_gauge", "aa", "a gauge").Set(-3.25)
+	r.GaugeFunc("fn_gauge", "fn", "computed", func() float64 { return 2.5 })
 	r.InfoGauge("build_info", "labels", map[string]string{
 		"version": "v1.2.3",
 		"odd":     "quote\" slash\\ newline\n",
 	})
 	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1})
-
-	c.Add(7)
-	g.Set(-3.25)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
+	return r
+}
 
+// render runs one of the registry's writers into a string.
+func render(t testing.TB, r *Registry, write func(*Registry, io.Writer) error) string {
+	t.Helper()
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := write(r, &b); err != nil {
 		t.Fatal(err)
 	}
-	text := b.String()
+	return b.String()
+}
+
+// TestWritePrometheusRoundTrip renders a mixed registry and re-reads it
+// through the package's own grammar checker, pinning the format contract
+// the CI scrape check relies on: sorted families, cumulative buckets,
+// labeled info gauges, and escaped label values.
+func TestWritePrometheusRoundTrip(t *testing.T) {
+	text := render(t, mixedRegistry(), (*Registry).WritePrometheus)
 
 	samples, err := ParsePrometheus(strings.NewReader(text))
 	if err != nil {
@@ -138,10 +149,40 @@ func TestRegistryPanics(t *testing.T) {
 		f()
 	}
 	r := NewRegistry()
-	r.Counter("dup_total", "first")
-	mustPanic("duplicate name", func() { r.Counter("dup_total", "second") })
-	mustPanic("invalid name", func() { r.Gauge("bad-name", "dashes are not allowed") })
+	r.Counter("dup_total", "dup", "first")
+	mustPanic("duplicate name", func() { r.Counter("dup_total", "other", "second") })
+	mustPanic("duplicate key", func() { r.GaugeFunc("other_gauge", "dup", "second", func() float64 { return 0 }) })
+	mustPanic("invalid name", func() { r.Gauge("bad-name", "bad", "dashes are not allowed") })
+	mustPanic("invalid key", func() { r.Gauge("bad_key", "bad-key", "dashes are not allowed") })
+	mustPanic("missing key", func() { r.Counter("keyless_total", "", "every counter renders in JSON") })
 	mustPanic("unsorted buckets", func() { r.Histogram("h", "x", []float64{1, 1}) })
+}
+
+// TestWriteJSON pins the second rendering: one object holding every
+// counter and gauge under its key (histograms and info gauges stay
+// exposition-only), counters as integers, keys sorted, and a NaN or ±Inf
+// gauge as null rather than invalid JSON.
+func TestWriteJSON(t *testing.T) {
+	r := mixedRegistry()
+	r.Counter("big_total", "big", "past float64's integers").Add(1<<53 + 1)
+	r.Gauge("inf_gauge", "inf", "unbounded").Set(math.Inf(1))
+	r.GaugeFunc("nan_gauge", "nan", "undefined", math.NaN)
+	text := render(t, r, (*Registry).WriteJSON)
+
+	var got map[string]any
+	if err := json.Unmarshal([]byte(text), &got); err != nil {
+		t.Fatalf("not valid JSON: %v\n%s", err, text)
+	}
+	want := map[string]any{"aa": -3.25, "big": float64(1<<53 + 1), "fn": 2.5, "inf": nil, "nan": nil, "zz": 7.0}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("report = %v, want %v", got, want)
+	}
+	if !strings.Contains(text, `"big": 9007199254740993,`) {
+		t.Errorf("counter not rendered as an exact integer:\n%s", text)
+	}
+	if i, j := strings.Index(text, `"aa"`), strings.Index(text, `"zz"`); i < 0 || i > j {
+		t.Errorf("keys not sorted:\n%s", text)
+	}
 }
 
 // TestParsePrometheusRejects: the grammar checker actually rejects the

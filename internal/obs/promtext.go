@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // ParsePrometheus validates r as Prometheus text exposition format and
-// returns the parsed samples keyed by series (metric name plus rendered
-// label set, e.g. `react_foo_bucket{le="1"}`). It is deliberately small —
+// returns the parsed samples keyed by series (metric name plus label set
+// in sorted, exposition-escaped form, e.g. `react_foo_bucket{le="1"}`, so
+// a key is itself a valid sample prefix). It is deliberately small —
 // a grammar checker for CI and tests, not a full scrape client: it
 // accepts HELP/TYPE/arbitrary comments, requires every sample line to be
 // `name[{labels}] value [timestamp]`, and rejects malformed names,
@@ -64,7 +64,7 @@ func parseSeries(line string) (key, rest string, err error) {
 		return "", "", fmt.Errorf("no value after metric name %q", line)
 	}
 	name := line[:i]
-	if !validMetricName(name) {
+	if !validName(name, true) {
 		return "", "", fmt.Errorf("invalid metric name %q", name)
 	}
 	if line[i] != '{' {
@@ -74,24 +74,8 @@ func parseSeries(line string) (key, rest string, err error) {
 	if err != nil {
 		return "", "", fmt.Errorf("metric %s: %v", name, err)
 	}
-	if len(labels) == 0 {
-		return name, rest, nil
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for j, k := range keys {
-		if j > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", k, labels[k])
-	}
-	b.WriteByte('}')
+	writeSeries(&b, name, labels, "")
 	return b.String(), rest, nil
 }
 
@@ -108,7 +92,7 @@ func parseLabels(s string) (map[string]string, string, error) {
 			return nil, "", fmt.Errorf("label pair missing '=' in %q", s)
 		}
 		k := strings.TrimSpace(s[:eq])
-		if !validLabelName(k) {
+		if !validName(k, false) {
 			return nil, "", fmt.Errorf("invalid label name %q", k)
 		}
 		s = strings.TrimLeft(s[eq+1:], " \t")
@@ -175,17 +159,4 @@ func parseValue(s string) (float64, error) {
 		return math.NaN(), nil
 	}
 	return strconv.ParseFloat(s, 64)
-}
-
-func validLabelName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		alpha := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r == '_'
-		if !alpha && (i == 0 || r < '0' || r > '9') {
-			return false
-		}
-	}
-	return true
 }

@@ -31,16 +31,30 @@ func (s SpanID) IsZero() bool { return s == SpanID{} }
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 func (s SpanID) String() string  { return hex.EncodeToString(s[:]) }
 
-// ParseTraceID decodes a 32-hex-digit trace ID.
+// ParseTraceID decodes a 32-digit lowercase-hex trace ID.
 func ParseTraceID(s string) (TraceID, bool) {
 	var t TraceID
-	if len(s) != 2*len(t) {
+	if !lowerHex(s, 2*len(t)) {
 		return TraceID{}, false
 	}
 	if _, err := hex.Decode(t[:], []byte(s)); err != nil || t.IsZero() {
 		return TraceID{}, false
 	}
 	return t, true
+}
+
+// lowerHex reports whether s is exactly n lowercase hex digits, the only
+// spelling W3C Trace Context allows for ids and flags.
+func lowerHex(s string, n int) bool {
+	if len(s) != n {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // idFallback seeds distinct IDs if crypto/rand ever fails.
@@ -91,8 +105,9 @@ func (sc SpanContext) Traceparent() string {
 	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
 }
 
-// ParseTraceparent decodes a traceparent header value. Unknown versions
-// and malformed or all-zero IDs are rejected (ok=false); trace flags are
+// ParseTraceparent decodes a traceparent header value. Unknown versions,
+// malformed (including uppercase) or all-zero IDs, and flags that are not
+// two lowercase hex digits are rejected (ok=false); valid trace flags are
 // accepted but ignored.
 func ParseTraceparent(h string) (SpanContext, bool) {
 	parts := strings.Split(strings.TrimSpace(h), "-")
@@ -104,13 +119,10 @@ func ParseTraceparent(h string) (SpanContext, bool) {
 		return SpanContext{}, false
 	}
 	var sid SpanID
-	if len(parts[2]) != 2*len(sid) {
+	if !lowerHex(parts[2], 2*len(sid)) || !lowerHex(parts[3], 2) {
 		return SpanContext{}, false
 	}
 	if _, err := hex.Decode(sid[:], []byte(parts[2])); err != nil || sid.IsZero() {
-		return SpanContext{}, false
-	}
-	if len(parts[3]) != 2 {
 		return SpanContext{}, false
 	}
 	return SpanContext{TraceID: tid, SpanID: sid}, true

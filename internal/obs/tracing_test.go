@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -41,6 +42,41 @@ func TestParseTraceparentRejects(t *testing.T) {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("accepted malformed traceparent %q", bad)
 		}
+	}
+}
+
+// TestParseTraceparentW3C holds the parser to W3C Trace Context's
+// spelling rules: ids and flags are lowercase hex only, and any flags
+// byte is accepted (and ignored) once it is spelled right.
+func TestParseTraceparentW3C(t *testing.T) {
+	const tid, sid = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
+	for _, tc := range []struct {
+		name, h string
+		ok      bool
+	}{
+		{"sampled", "00-" + tid + "-" + sid + "-01", true},
+		{"unsampled", "00-" + tid + "-" + sid + "-00", true},
+		{"unknown flag bits", "00-" + tid + "-" + sid + "-ff", true},
+		{"uppercase trace id", "00-" + strings.ToUpper(tid) + "-" + sid + "-01", false},
+		{"one uppercase digit", "00-" + tid[:31] + "B-" + sid + "-01", false},
+		{"uppercase span id", "00-" + tid + "-" + strings.ToUpper(sid) + "-01", false},
+		{"uppercase flags", "00-" + tid + "-" + sid + "-FF", false},
+		{"non-hex flags", "00-" + tid + "-" + sid + "-zz", false},
+		{"half-hex flags", "00-" + tid + "-" + sid + "-0g", false},
+		{"short flags", "00-" + tid + "-" + sid + "-1", false},
+		{"uppercase version", "0A-" + tid + "-" + sid + "-01", false},
+	} {
+		sc, ok := ParseTraceparent(tc.h)
+		if ok != tc.ok {
+			t.Errorf("%s: ParseTraceparent(%q) ok = %v, want %v", tc.name, tc.h, ok, tc.ok)
+			continue
+		}
+		if ok && (sc.TraceID.String() != tid || sc.SpanID.String() != sid) {
+			t.Errorf("%s: parsed %+v, want trace %s span %s", tc.name, sc, tid, sid)
+		}
+	}
+	if _, ok := ParseTraceID(strings.ToUpper("4bf92f3577b34da6a3ce929d0e0e4736")); ok {
+		t.Error("ParseTraceID accepted an uppercase trace id")
 	}
 }
 

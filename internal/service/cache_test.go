@@ -38,30 +38,25 @@ func blockerSpec(started chan<- int, release <-chan struct{}) *scenario.Spec {
 func TestCellEvictionAtExactCapacity(t *testing.T) {
 	_, c := newTestService(t, Config{CacheCells: 2})
 	ctx := context.Background()
-	a, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})
-	if err != nil {
+	if _, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)}); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := c.Metrics(ctx)
-	if m.CellEntries != 2 || m.CellEvictions != 0 {
-		t.Fatalf("at exact capacity: entries %d evictions %d, want 2 and 0", m.CellEntries, m.CellEvictions)
+	m := readMetrics(t, c)
+	if m("cell_entries") != 2 || m("cell_evictions") != 0 {
+		t.Fatalf("at exact capacity: entries %v evictions %v, want 2 and 0", m("cell_entries"), m("cell_evictions"))
 	}
 	// Two fresh addresses displace both cached cells.
 	b := strings.Replace(fastSpec, `"duration": 30`, `"duration": 31`, 1)
 	if _, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(b)}); err != nil {
 		t.Fatal(err)
 	}
-	m, _ = c.Metrics(ctx)
-	if m.CellEntries != 2 || m.CellEvictions != 2 {
-		t.Errorf("past capacity: entries %d evictions %d, want 2 and 2", m.CellEntries, m.CellEvictions)
+	m = readMetrics(t, c)
+	if m("cell_entries") != 2 || m("cell_evictions") != 2 {
+		t.Errorf("past capacity: entries %v evictions %v, want 2 and 2", m("cell_entries"), m("cell_evictions"))
 	}
-	// The first run's view still serves whole-run repeats even though its
-	// cells were evicted; forget it so the resubmission exercises the cell
-	// index, which must miss on the evicted addresses and simulate afresh.
-	if err := (&RemoteRun{c: c, ID: a.ID}).Cancel(ctx); err != nil {
-		t.Fatal(err)
-	}
-	misses := m.CellMisses
+	// Resubmitting the first run must miss on its evicted addresses and
+	// simulate afresh.
+	misses := m("cell_misses")
 	st, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +64,9 @@ func TestCellEvictionAtExactCapacity(t *testing.T) {
 	if st.Status != StatusDone {
 		t.Fatalf("resubmission did not finish: %+v", st)
 	}
-	m, _ = c.Metrics(ctx)
-	if m.CellMisses != misses+2 {
-		t.Errorf("cell misses went %d -> %d on an evicted resubmission, want +2", misses, m.CellMisses)
+	m = readMetrics(t, c)
+	if m("cell_misses") != misses+2 {
+		t.Errorf("cell misses went %v -> %v on an evicted resubmission, want +2", misses, m("cell_misses"))
 	}
 }
 
@@ -123,9 +118,9 @@ func TestDeleteRunningRunKeepsSweepSharedCells(t *testing.T) {
 			t.Fatalf("sweep cell lost to the run's cancellation: %+v", cell)
 		}
 	}
-	m, _ := c.Metrics(ctx)
-	if want := uint64(5); m.SimsCompleted != want { // 1 blocker + 4 sweep cells
-		t.Errorf("%d simulations, want %d (the deleted run must add none, the sweep must lose none)", m.SimsCompleted, want)
+	m := readMetrics(t, c)
+	if want := 5.0; m("sims_completed") != want { // 1 blocker + 4 sweep cells
+		t.Errorf("%v simulations, want %v (the deleted run must add none, the sweep must lose none)", m("sims_completed"), want)
 	}
 }
 
@@ -166,7 +161,7 @@ func TestDeleteFinishedRunKeepsSweepSharedCells(t *testing.T) {
 	}
 	// The shared cells survive the forget: a resubmission is still served
 	// from the cache while the sweep lives.
-	misses0, _ := c.Metrics(ctx)
+	misses0 := readMetrics(t, c)
 	again, err := c.RunAsync(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})
 	if err != nil {
 		t.Fatal(err)
@@ -174,9 +169,9 @@ func TestDeleteFinishedRunKeepsSweepSharedCells(t *testing.T) {
 	if !again.Submitted.Cached {
 		t.Error("cells shared with a live sweep must survive the run's deletion")
 	}
-	m, _ := c.Metrics(ctx)
-	if m.CellMisses != misses0.CellMisses {
-		t.Errorf("cell misses went %d -> %d, want unchanged", misses0.CellMisses, m.CellMisses)
+	m := readMetrics(t, c)
+	if m("cell_misses") != misses0("cell_misses") {
+		t.Errorf("cell misses went %v -> %v, want unchanged", misses0("cell_misses"), m("cell_misses"))
 	}
 
 	unblock()
@@ -238,15 +233,15 @@ func TestCoalescingRaceOneSimulationPerCell(t *testing.T) {
 		}
 	}
 
-	m, _ := c.Metrics(ctx)
-	if m.SimsCompleted != 3 {
-		t.Errorf("%d simulations for 3 distinct cells across %d overlapping sweeps, want exactly 3", m.SimsCompleted, clients)
+	m := readMetrics(t, c)
+	if m("sims_completed") != 3 {
+		t.Errorf("%v simulations for 3 distinct cells across %v overlapping sweeps, want exactly 3", m("sims_completed"), clients)
 	}
-	if m.CellMisses != 3 {
-		t.Errorf("%d cell misses, want 3 (single flight per address)", m.CellMisses)
+	if m("cell_misses") != 3 {
+		t.Errorf("%v cell misses, want 3 (single flight per address)", m("cell_misses"))
 	}
-	if m.QueueDepth != 0 {
-		t.Errorf("queue depth %d after drain, want 0", m.QueueDepth)
+	if m("queue_depth") != 0 {
+		t.Errorf("queue depth %v after drain, want 0", m("queue_depth"))
 	}
 }
 

@@ -154,14 +154,14 @@ func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
 	return out.Scenarios, nil
 }
 
-// Metrics reads the server's cache/queue/throughput counters (the JSON
-// report; GET /metrics itself now serves Prometheus text by default).
-func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
+// Metrics reads the server's counters and gauges from the JSON report
+// (GET /metrics serves the same registry as Prometheus text).
+func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
 	var m Metrics
 	if err := c.do(ctx, http.MethodGet, "/metrics.json", nil, &m); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
 }
 
 // TraceSpans reads the server's raw (node-local, flat) spans for a trace

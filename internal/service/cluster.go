@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"react/internal/obs"
+	"react/internal/rng"
 	"react/internal/scenario"
 	"react/internal/sim"
 )
@@ -113,7 +114,10 @@ func normalizePeerURL(raw string) (string, error) {
 }
 
 // owner returns the ring member owning a fingerprint: the member whose
-// rendezvous weight for it is highest.
+// rendezvous weight for it is highest. A weight is the FNV-1a hash of
+// member and fingerprint, finalized by one splitmix64 step: raw FNV-1a
+// weights of two similar member URLs stay correlated across fingerprints,
+// so one of two loopback ports could own 127 of 128 cells.
 func (cl *cluster) owner(fp string) string {
 	best, bestW := "", uint64(0)
 	for _, m := range cl.members {
@@ -121,7 +125,7 @@ func (cl *cluster) owner(fp string) string {
 		io.WriteString(h, m)
 		h.Write([]byte{0})
 		io.WriteString(h, fp)
-		if w := h.Sum64(); best == "" || w > bestW {
+		if w := rng.New(h.Sum64()).Uint64(); best == "" || w > bestW {
 			best, bestW = m, w
 		}
 	}

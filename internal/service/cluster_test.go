@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"testing"
@@ -95,6 +96,43 @@ func ownerCounts(t *testing.T, urls []string, seeds []uint64) map[string]int {
 	return counts
 }
 
+// splitSeeds picks four consecutive seeds whose fastSpec cells land on
+// both nodes, returning them with each node's owned-cell count.
+// Ownership depends on the OS-assigned member ports, so it probes
+// candidate seed sets (each is degenerate with probability 2^-7; four
+// make a miss astronomically unlikely).
+func splitSeeds(t *testing.T, a, b *testNode) ([]uint64, map[string]int) {
+	t.Helper()
+	for _, base := range []uint64{1, 5, 9, 13} {
+		seeds := []uint64{base, base + 1, base + 2, base + 3}
+		want := ownerCounts(t, []string{a.url, b.url}, seeds)
+		if want[a.url] > 0 && want[b.url] > 0 {
+			return seeds, want
+		}
+	}
+	t.Fatal("degenerate shard split for every candidate seed set")
+	return nil, nil
+}
+
+// TestClusterRingBalanced pins the rendezvous weights' mixing: two
+// loopback members that differ only in their port split 128 cells
+// roughly evenly. The first two pairs split 4/124 and 125/3 when the
+// weights were raw FNV-1a, which made the cluster tests' shard split
+// degenerate on some OS-assigned ports.
+func TestClusterRingBalanced(t *testing.T) {
+	var seeds []uint64
+	for s := uint64(1); s <= 64; s++ {
+		seeds = append(seeds, s)
+	}
+	for _, ports := range [][2]int{{53533, 47385}, {45306, 49221}, {8423, 8424}, {40000, 40001}} {
+		a, b := fmt.Sprintf("http://127.0.0.1:%d", ports[0]), fmt.Sprintf("http://127.0.0.1:%d", ports[1])
+		got := ownerCounts(t, []string{a, b}, seeds)
+		if got[a] < 40 || got[b] < 40 {
+			t.Errorf("ports %v split 128 cells %d/%d, want each side at least 40", ports, got[a], got[b])
+		}
+	}
+}
+
 // TestClusterSweepThenExplorationZeroNewSims is the 2-node acceptance
 // test: a sweep submitted to node A shards its cells across the ring
 // (each cell simulated exactly once, on its owner), and a later
@@ -105,22 +143,7 @@ func TestClusterSweepThenExplorationZeroNewSims(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	ctx := context.Background()
 
-	// Ownership depends on the OS-assigned member ports, so probe candidate
-	// seed sets for one that lands cells on both nodes (each candidate is
-	// degenerate with probability 2^-7; four make a miss astronomically
-	// unlikely).
-	var seeds []uint64
-	var want map[string]int
-	for _, base := range []uint64{1, 5, 9, 13} {
-		seeds = []uint64{base, base + 1, base + 2, base + 3}
-		want = ownerCounts(t, []string{a.url, b.url}, seeds)
-		if want[a.url] > 0 && want[b.url] > 0 {
-			break
-		}
-	}
-	if want[a.url] == 0 || want[b.url] == 0 {
-		t.Fatalf("degenerate shard split %v for every candidate seed set", want)
-	}
+	seeds, want := splitSeeds(t, a, b)
 
 	sw, err := a.client.Sweep(ctx, SweepRequest{Spec: json.RawMessage(fastSpec), Seeds: seeds})
 	if err != nil {
@@ -130,24 +153,24 @@ func TestClusterSweepThenExplorationZeroNewSims(t *testing.T) {
 		t.Fatalf("sweep did not complete: %+v", sw)
 	}
 
-	ma0, _ := a.client.Metrics(ctx)
-	mb0, _ := b.client.Metrics(ctx)
-	if got := int(ma0.SimsCompleted); got != want[a.url] {
+	ma0 := readMetrics(t, a.client)
+	mb0 := readMetrics(t, b.client)
+	if got := int(ma0("sims_completed")); got != want[a.url] {
 		t.Errorf("node A simulated %d cells, owns %d", got, want[a.url])
 	}
-	if got := int(mb0.SimsCompleted); got != want[b.url] {
+	if got := int(mb0("sims_completed")); got != want[b.url] {
 		t.Errorf("node B simulated %d cells, owns %d", got, want[b.url])
 	}
-	if ma0.PeerCells != uint64(want[b.url]) {
-		t.Errorf("node A fetched %d peer cells, want %d", ma0.PeerCells, want[b.url])
+	if ma0("peer_cells") != float64(want[b.url]) {
+		t.Errorf("node A fetched %v peer cells, want %v", ma0("peer_cells"), want[b.url])
 	}
 	// Fan-out reuses the batch grouping: at most one peer request per
 	// (seed) batch key, not one per cell.
-	if ma0.PeerRequests == 0 || ma0.PeerRequests > uint64(len(seeds)) {
-		t.Errorf("node A made %d peer requests for %d batch keys", ma0.PeerRequests, len(seeds))
+	if ma0("peer_requests") == 0 || ma0("peer_requests") > float64(len(seeds)) {
+		t.Errorf("node A made %v peer requests for %v batch keys", ma0("peer_requests"), len(seeds))
 	}
-	if ma0.PeerFallbacks != 0 {
-		t.Errorf("node A degraded %d times with a healthy peer", ma0.PeerFallbacks)
+	if ma0("peer_fallbacks") != 0 {
+		t.Errorf("node A degraded %v times with a healthy peer", ma0("peer_fallbacks"))
 	}
 
 	// The overlapping exploration on B: same physics, same seeds — every
@@ -164,14 +187,14 @@ func TestClusterSweepThenExplorationZeroNewSims(t *testing.T) {
 	if ex.Status != StatusDone {
 		t.Fatalf("exploration did not complete: %+v", ex)
 	}
-	ma1, _ := a.client.Metrics(ctx)
-	mb1, _ := b.client.Metrics(ctx)
-	if ma1.SimsCompleted != ma0.SimsCompleted || mb1.SimsCompleted != mb0.SimsCompleted {
-		t.Errorf("exploration simulated: A %d->%d, B %d->%d; want flat",
-			ma0.SimsCompleted, ma1.SimsCompleted, mb0.SimsCompleted, mb1.SimsCompleted)
+	ma1 := readMetrics(t, a.client)
+	mb1 := readMetrics(t, b.client)
+	if ma1("sims_completed") != ma0("sims_completed") || mb1("sims_completed") != mb0("sims_completed") {
+		t.Errorf("exploration simulated: A %v->%v, B %v->%v; want flat",
+			ma0("sims_completed"), ma1("sims_completed"), mb0("sims_completed"), mb1("sims_completed"))
 	}
-	if mb1.CellHits <= mb0.CellHits {
-		t.Errorf("node B cell hits did not rise (%d -> %d)", mb0.CellHits, mb1.CellHits)
+	if mb1("cell_hits") <= mb0("cell_hits") {
+		t.Errorf("node B cell hits did not rise (%v -> %v)", mb0("cell_hits"), mb1("cell_hits"))
 	}
 }
 
@@ -208,8 +231,8 @@ func TestClusterDegradesWhenPeerDown(t *testing.T) {
 	b.http.Close() // B is down before any work lands
 
 	ctx := context.Background()
-	seeds := []uint64{1, 2, 3, 4}
-	want := ownerCounts(t, []string{a.url, b.url}, seeds)
+	// Seeds on which B owns cells, so A must forward, fail and fall back.
+	seeds, _ := splitSeeds(t, a, b)
 
 	sw, err := a.client.Sweep(ctx, SweepRequest{Spec: json.RawMessage(fastSpec), Seeds: seeds})
 	if err != nil {
@@ -223,17 +246,16 @@ func TestClusterDegradesWhenPeerDown(t *testing.T) {
 			t.Fatalf("cell not served locally after fallback: %+v", cs)
 		}
 	}
-	m, _ := a.client.Metrics(ctx)
-	if m.SimsCompleted != 8 {
-		t.Errorf("node A simulated %d cells, want all 8 (fallback)", m.SimsCompleted)
+	m := readMetrics(t, a.client)
+	if m("sims_completed") != 8 {
+		t.Errorf("node A simulated %v cells, want all 8 (fallback)", m("sims_completed"))
 	}
-	if m.PeerFallbacks == 0 || m.PeerRetries == 0 {
-		t.Errorf("no fallback/retry recorded: %+v", m)
+	if m("peer_fallbacks") == 0 || m("peer_retries") == 0 {
+		t.Errorf("no fallback/retry recorded: %v fallbacks, %v retries", m("peer_fallbacks"), m("peer_retries"))
 	}
-	if m.QueueDepth != 0 {
-		t.Errorf("queue depth %d after fallback drain, want 0", m.QueueDepth)
+	if m("queue_depth") != 0 {
+		t.Errorf("queue depth %v after fallback drain, want 0", m("queue_depth"))
 	}
-	_ = want // the split is irrelevant once everything runs locally
 }
 
 // TestNoForwardPinsCells: a no_forward run submitted to the non-owner
@@ -248,12 +270,12 @@ func TestNoForwardPinsCells(t *testing.T) {
 	if _, err := a.client.Run(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	ma, _ := a.client.Metrics(ctx)
-	mb, _ := b.client.Metrics(ctx)
-	if ma.SimsCompleted != 2 || ma.PeerRequests != 0 {
-		t.Errorf("no_forward run forwarded: %d sims, %d peer requests on A", ma.SimsCompleted, ma.PeerRequests)
+	ma := readMetrics(t, a.client)
+	mb := readMetrics(t, b.client)
+	if ma("sims_completed") != 2 || ma("peer_requests") != 0 {
+		t.Errorf("no_forward run forwarded: %v sims, %v peer requests on A", ma("sims_completed"), ma("peer_requests"))
 	}
-	if mb.SimsCompleted != 0 {
-		t.Errorf("node B simulated %d cells for A's pinned run", mb.SimsCompleted)
+	if mb("sims_completed") != 0 {
+		t.Errorf("node B simulated %v cells for A's pinned run", mb("sims_completed"))
 	}
 }

@@ -53,9 +53,10 @@ func TestExploreEndToEnd(t *testing.T) {
 			t.Errorf("point %d not aggregated over both seeds: %+v", i, pr)
 		}
 	}
-	m, _ := c.Metrics(ctx)
-	if m.Explorations != 1 || m.ExploreCells != 8 || m.ExplorePoints != 4 {
-		t.Errorf("explore counters wrong: %+v", m)
+	m := readMetrics(t, c)
+	if m("explorations_submitted") != 1 || m("explore_cells") != 8 || m("explore_points_evaluated") != 4 {
+		t.Errorf("explore counters wrong: %v explorations, %v cells, %v points; want 1, 8, 4",
+			m("explorations_submitted"), m("explore_cells"), m("explore_points_evaluated"))
 	}
 
 	// The remote result is bit-identical to running the same space
@@ -91,7 +92,7 @@ func TestExploreGridThenBisectZeroNewSims(t *testing.T) {
 	b4, _ := grid.Result.Points[4].Value("blocks")
 	b5, _ := grid.Result.Points[5].Value("blocks")
 	k := (b4 + b5) / 2
-	m0, _ := c.Metrics(ctx)
+	m0 := readMetrics(t, c)
 
 	bis, err := c.Explore(ctx, &explore.Space{
 		Spec:     exploreBase(),
@@ -107,15 +108,15 @@ func TestExploreGridThenBisectZeroNewSims(t *testing.T) {
 		t.Errorf("bisection attached fresh cells: %d new, %d coalesced, %d cached of %d",
 			bis.NewCells, bis.CoalescedCells, bis.CachedCells, len(bis.Cells))
 	}
-	m1, _ := c.Metrics(ctx)
-	if m1.CellMisses != m0.CellMisses {
-		t.Errorf("cell misses went %d -> %d: bisection re-simulated grid cells", m0.CellMisses, m1.CellMisses)
+	m1 := readMetrics(t, c)
+	if m1("cell_misses") != m0("cell_misses") {
+		t.Errorf("cell misses went %v -> %v: bisection re-simulated grid cells", m0("cell_misses"), m1("cell_misses"))
 	}
-	if m1.SimsCompleted != m0.SimsCompleted {
-		t.Errorf("simulations went %d -> %d, want zero new work", m0.SimsCompleted, m1.SimsCompleted)
+	if m1("sims_completed") != m0("sims_completed") {
+		t.Errorf("simulations went %v -> %v, want zero new work", m0("sims_completed"), m1("sims_completed"))
 	}
-	if m1.CellHits <= m0.CellHits {
-		t.Errorf("cell hits did not rise (%d -> %d)", m0.CellHits, m1.CellHits)
+	if m1("cell_hits") <= m0("cell_hits") {
+		t.Errorf("cell hits did not rise (%v -> %v)", m0("cell_hits"), m1("cell_hits"))
 	}
 	// The bisection's answer agrees with scanning the covering grid.
 	if len(bis.Result.Best) != 1 || !bis.Result.Best[0].Satisfied {
@@ -148,7 +149,7 @@ func TestExploreSharesCellsWithRuns(t *testing.T) {
 	if _, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)}); err != nil {
 		t.Fatal(err)
 	}
-	m0, _ := c.Metrics(ctx)
+	m0 := readMetrics(t, c)
 	st, err := c.Explore(ctx, &explore.Space{
 		Spec:    exploreBase(),
 		Presets: []string{"770 µF", "REACT"}, // exactly the run's buffer set
@@ -159,10 +160,10 @@ func TestExploreSharesCellsWithRuns(t *testing.T) {
 	if st.CachedCells != 2 || st.NewCells != 0 {
 		t.Errorf("exploration should have been served from the run's cells: %+v", st)
 	}
-	m1, _ := c.Metrics(ctx)
-	if m1.SimsCompleted != m0.SimsCompleted || m1.CellHits != m0.CellHits+2 {
-		t.Errorf("cache counters wrong: sims %d->%d hits %d->%d",
-			m0.SimsCompleted, m1.SimsCompleted, m0.CellHits, m1.CellHits)
+	m1 := readMetrics(t, c)
+	if m1("sims_completed") != m0("sims_completed") || m1("cell_hits") != m0("cell_hits")+2 {
+		t.Errorf("cache counters wrong: sims %v->%v hits %v->%v",
+			m0("sims_completed"), m1("sims_completed"), m0("cell_hits"), m1("cell_hits"))
 	}
 }
 
@@ -201,9 +202,9 @@ func TestExploreCancel(t *testing.T) {
 	if _, err := (&RemoteRun{c: c, ID: blocker.ID}).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := c.Metrics(ctx)
-	if m.QueueDepth != 0 {
-		t.Errorf("queue depth %d after a cancelled exploration drained, want 0", m.QueueDepth)
+	m := readMetrics(t, c)
+	if m("queue_depth") != 0 {
+		t.Errorf("queue depth %v after a cancelled exploration drained, want 0", m("queue_depth"))
 	}
 }
 
@@ -276,7 +277,7 @@ func TestExploreMLSegmentsBisectZeroNewSims(t *testing.T) {
 		t.Fatalf("latency not rising across the lattice (%g, %g)", l2, l3)
 	}
 	k := (l2 + l3) / 2
-	m0, _ := c.Metrics(ctx)
+	m0 := readMetrics(t, c)
 
 	bis, err := c.Explore(ctx, &explore.Space{
 		Spec: base, Static: axis, Patches: []explore.PatchAxis{segs}, Seeds: []uint64{1},
@@ -290,13 +291,13 @@ func TestExploreMLSegmentsBisectZeroNewSims(t *testing.T) {
 		t.Errorf("bisection attached fresh cells: %d new, %d cached of %d",
 			bis.NewCells, bis.CachedCells, len(bis.Cells))
 	}
-	m1, _ := c.Metrics(ctx)
-	if m1.CellMisses != m0.CellMisses || m1.SimsCompleted != m0.SimsCompleted {
-		t.Errorf("bisection re-simulated covered cells: misses %d -> %d, sims %d -> %d",
-			m0.CellMisses, m1.CellMisses, m0.SimsCompleted, m1.SimsCompleted)
+	m1 := readMetrics(t, c)
+	if m1("cell_misses") != m0("cell_misses") || m1("sims_completed") != m0("sims_completed") {
+		t.Errorf("bisection re-simulated covered cells: misses %v -> %v, sims %v -> %v",
+			m0("cell_misses"), m1("cell_misses"), m0("sims_completed"), m1("sims_completed"))
 	}
-	if m1.CellHits <= m0.CellHits {
-		t.Errorf("cell hits did not rise (%d -> %d)", m0.CellHits, m1.CellHits)
+	if m1("cell_hits") <= m0("cell_hits") {
+		t.Errorf("cell hits did not rise (%v -> %v)", m0("cell_hits"), m1("cell_hits"))
 	}
 	// One best point per segments group, each agreeing with a grid scan.
 	if len(bis.Result.Best) != 2 {

@@ -1,8 +1,8 @@
 package service
 
-// Observability suite: content negotiation on /metrics, the Prometheus
-// exposition contract (every series parses; the cell-sim histogram count
-// tracks sims_completed exactly), progress reporting, trace trees for
+// Observability suite: the Prometheus exposition contract (every series
+// parses; the cell-sim histogram count tracks sims_completed exactly), the
+// JSON report's agreement with it, progress reporting, trace trees for
 // local submissions, and concurrent scrapes racing a live sweep (run
 // under -race in CI).
 
@@ -45,11 +45,11 @@ func scrapeText(t *testing.T, base, path, accept string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
-// TestMetricsExposition: /metrics serves parseable Prometheus text by
-// default and the JSON report under Accept: application/json;
-// /metrics.json always serves JSON; and the cell-sim histogram's count
-// equals sims_completed on both formats — the invariant CI asserts
-// against a live daemon.
+// TestMetricsExposition: /metrics serves parseable Prometheus text (with
+// no content negotiation: an Accept header cannot turn it into JSON),
+// /metrics.json serves the same registry as JSON, and the cell-sim
+// histogram's count equals sims_completed on both — the invariant CI
+// asserts against a live daemon.
 func TestMetricsExposition(t *testing.T) {
 	_, c := newTestService(t, Config{Workers: 2})
 	ctx := context.Background()
@@ -58,32 +58,32 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	text, ctype := scrapeText(t, c.base, "/metrics", "")
-	if !strings.HasPrefix(ctype, "text/plain") || !strings.Contains(ctype, "version=0.0.4") {
-		t.Errorf("/metrics content type = %q, want text exposition 0.0.4", ctype)
+	for _, accept := range []string{"", "application/json"} {
+		_, ctype := scrapeText(t, c.base, "/metrics", accept)
+		if !strings.HasPrefix(ctype, "text/plain") || !strings.Contains(ctype, "version=0.0.4") {
+			t.Errorf("/metrics (Accept %q) content type = %q, want text exposition 0.0.4", accept, ctype)
+		}
 	}
+	text, _ := scrapeText(t, c.base, "/metrics", "")
 	samples, err := obs.ParsePrometheus(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("/metrics does not parse as Prometheus text: %v", err)
 	}
-
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if _, ctype := scrapeText(t, c.base, "/metrics.json", ""); !strings.HasPrefix(ctype, "application/json") {
+		t.Errorf("/metrics.json content type %q", ctype)
 	}
-	if m.SimsCompleted == 0 {
+
+	m := readMetrics(t, c)
+	if m("sims_completed") == 0 {
 		t.Fatal("fixture run simulated nothing")
 	}
 	// The count==sims invariant only holds exactly on a quiescent server;
 	// the run above is synchronous-complete, so it is quiescent here.
-	if got := samples["react_cell_sim_duration_seconds_count"]; got != float64(m.SimsCompleted) {
-		t.Errorf("histogram count %g != sims_completed %d", got, m.SimsCompleted)
+	if got := samples["react_cell_sim_duration_seconds_count"]; got != m("sims_completed") {
+		t.Errorf("histogram count %g != sims_completed %g", got, m("sims_completed"))
 	}
-	if got := samples["react_sims_completed_total"]; got != float64(m.SimsCompleted) {
-		t.Errorf("text sims counter %g != JSON sims_completed %d", got, m.SimsCompleted)
-	}
-	if samples["react_start_time_seconds"] <= 0 {
-		t.Error("react_start_time_seconds missing or zero")
+	if m("start_time_s") <= 0 || samples["react_start_time_seconds"] != m("start_time_s") {
+		t.Errorf("start time: text %g, JSON start_time_s %g", samples["react_start_time_seconds"], m("start_time_s"))
 	}
 	found := false
 	for key := range samples {
@@ -92,34 +92,150 @@ func TestMetricsExposition(t *testing.T) {
 			if samples[key] != 1 {
 				t.Errorf("%s = %g, want 1", key, samples[key])
 			}
+			if !strings.Contains(key, `go_version="go`) {
+				t.Errorf("%s carries no Go toolchain version", key)
+			}
 		}
 	}
 	if !found {
 		t.Error("react_build_info series missing")
 	}
+}
 
-	// Content negotiation: Accept: application/json flips /metrics to the
-	// JSON report, and /metrics.json serves it unconditionally.
-	for _, probe := range []struct{ path, accept string }{
-		{"/metrics", "application/json"},
-		{"/metrics.json", ""},
-	} {
-		body, ctype := scrapeText(t, c.base, probe.path, probe.accept)
-		if !strings.HasPrefix(ctype, "application/json") {
-			t.Errorf("GET %s (Accept %q): content type %q", probe.path, probe.accept, ctype)
+// wireKeys is the /metrics.json contract: the 43 numeric keys the report
+// has always carried, each with the Prometheus series it mirrors. All are
+// present on every node except disk_cells, which marks a disk store.
+var wireKeys = map[string]string{
+	"uptime_s":                 "react_uptime_seconds",
+	"workers":                  "react_workers",
+	"runs_submitted":           "react_runs_submitted_total",
+	"sweeps_submitted":         "react_sweeps_submitted_total",
+	"explorations_submitted":   "react_explorations_submitted_total",
+	"explore_points_evaluated": "react_explore_points_total",
+	"explore_cells":            "react_explore_cells_total",
+	"cache_hits":               "react_run_cache_hits_total",
+	"coalesced":                "react_run_coalesced_total",
+	"cache_misses":             "react_run_cache_misses_total",
+	"cache_hit_rate":           "react_run_cache_hit_rate",
+	"cache_entries":            "react_run_cache_entries",
+	"cache_capacity":           "react_run_cache_capacity",
+	"cache_evictions":          "react_run_evictions_total",
+	"cell_hits":                "react_cell_hits_total",
+	"cell_coalesced":           "react_cell_coalesced_total",
+	"cell_misses":              "react_cell_misses_total",
+	"cell_hit_rate":            "react_cell_hit_rate",
+	"cell_entries":             "react_cell_cache_entries",
+	"cell_capacity":            "react_cell_cache_capacity",
+	"cell_evictions":           "react_cell_evictions_total",
+	"runs_tracked":             "react_runs_tracked",
+	"runs_active":              "react_runs_active",
+	"queue_depth":              "react_queue_depth",
+	"cells_running":            "react_cells_running",
+	"sims_completed":           "react_sims_completed_total",
+	"sims_failed":              "react_sims_failed_total",
+	"sims_per_sec":             "react_sims_per_sec",
+	"sims_per_sec_60s":         "react_sims_per_sec_60s",
+	"dropped_spans":            "react_dropped_spans",
+	"ticks_simulated":          "react_ticks_simulated_total",
+	"ticks_fastforwarded":      "react_ticks_fastforwarded_total",
+	"trace_passes":             "react_trace_passes_total",
+	"disk_cells":               "react_disk_cells",
+	"disk_hits":                "react_disk_hits_total",
+	"disk_misses":              "react_disk_misses_total",
+	"disk_puts":                "react_disk_puts_total",
+	"disk_quarantined":         "react_disk_quarantined",
+	"cluster_peers":            "react_cluster_peers",
+	"peer_requests":            "react_peer_requests_total",
+	"peer_retries":             "react_peer_retries_total",
+	"peer_fallbacks":           "react_peer_fallbacks_total",
+	"peer_cells":               "react_peer_cells_total",
+}
+
+// addedKeys are the report's keys beyond wireKeys, from registry metrics
+// that were once exposition-only.
+var addedKeys = map[string]string{
+	"start_time_s": "react_start_time_seconds",
+	"cells_queued": "react_cells_queued_total",
+	"cells_done":   "react_cells_done_total",
+}
+
+// TestMetricsJSONMatchesPrometheus is the one-registry acceptance test, on
+// a quiescent node with a disk store and on a node of a 2-node cluster:
+// /metrics.json carries every wire key as a number, and every counter and
+// gauge reads the same in both renderings — keys and series pair up one
+// to one, so neither format can carry a metric the other lacks. Only the
+// three clock-derived gauges are exempt from equality, since they move
+// between the two scrapes.
+func TestMetricsJSONMatchesPrometheus(t *testing.T) {
+	ctx := context.Background()
+	_, solo := newTestService(t, Config{Workers: 2, Store: openStore(t, t.TempDir())})
+	if _, err := solo.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)}); err != nil {
+		t.Fatal(err)
+	}
+	nodes := newTestCluster(t, 2, Config{Workers: 2})
+	seeds, _ := splitSeeds(t, nodes[0], nodes[1])
+	if _, err := nodes[0].client.Sweep(ctx, SweepRequest{Spec: json.RawMessage(fastSpec), Seeds: seeds}); err != nil {
+		t.Fatal(err)
+	}
+	clock := map[string]bool{"uptime_s": true, "sims_per_sec": true, "sims_per_sec_60s": true}
+
+	for _, node := range []struct {
+		name  string
+		c     *Client
+		store bool
+	}{{"store", solo, true}, {"cluster", nodes[0].client, false}} {
+		body, _ := scrapeText(t, node.c.base, "/metrics.json", "")
+		var report map[string]any
+		if err := json.Unmarshal([]byte(body), &report); err != nil {
+			t.Fatalf("%s: /metrics.json is not a JSON object: %v", node.name, err)
 		}
-		var jm Metrics
-		if err := json.Unmarshal([]byte(body), &jm); err != nil {
-			t.Fatalf("GET %s: bad JSON: %v", probe.path, err)
+		text, _ := scrapeText(t, node.c.base, "/metrics", "")
+		samples, err := obs.ParsePrometheus(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: /metrics does not parse: %v", node.name, err)
 		}
-		if jm.SimsCompleted != m.SimsCompleted {
-			t.Errorf("GET %s: sims_completed %d, want %d", probe.path, jm.SimsCompleted, m.SimsCompleted)
+		for key := range wireKeys {
+			if _, ok := report[key]; !ok && (key != "disk_cells" || node.store) {
+				t.Errorf("%s: wire key %s missing", node.name, key)
+			}
 		}
-		if jm.StartTime.IsZero() {
-			t.Errorf("GET %s: start_time missing", probe.path)
+		if _, ok := report["disk_cells"]; ok != node.store {
+			t.Errorf("%s: disk_cells present = %v, want %v", node.name, ok, node.store)
 		}
-		if jm.Build["go_version"] == "" {
-			t.Errorf("GET %s: build info missing", probe.path)
+
+		// Every unlabelled counter and gauge family is a JSON key.
+		keyed := map[string]bool{}
+		for _, line := range strings.Split(text, "\n") {
+			f := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
+			if strings.HasPrefix(line, "# TYPE ") && f[1] != "histogram" {
+				if _, unlabelled := samples[f[0]]; unlabelled {
+					keyed[f[0]] = true
+				}
+			}
+		}
+		for key, raw := range report {
+			series, ok := wireKeys[key]
+			if !ok {
+				series, ok = addedKeys[key]
+			}
+			if !ok {
+				t.Errorf("%s: unexpected JSON key %s", node.name, key)
+				continue
+			}
+			delete(keyed, series)
+			v, isNum := raw.(float64)
+			if !isNum {
+				t.Errorf("%s: %s = %v, want a number", node.name, key, raw)
+				continue
+			}
+			if got, ok := samples[series]; !ok {
+				t.Errorf("%s: JSON key %s has no series %s", node.name, key, series)
+			} else if got != v && !clock[key] {
+				t.Errorf("%s: %s = %g in JSON, %s = %g in text", node.name, key, v, series, got)
+			}
+		}
+		for series := range keyed {
+			t.Errorf("%s: series %s has no JSON key", node.name, series)
 		}
 	}
 }
@@ -300,20 +416,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	ctx := context.Background()
 
-	// Probe seed sets until the ring lands cells on both nodes (same
-	// idiom as TestClusterSweepThenExplorationZeroNewSims).
-	var seeds []uint64
-	var want map[string]int
-	for _, base := range []uint64{1, 5, 9, 13} {
-		seeds = []uint64{base, base + 1, base + 2, base + 3}
-		want = ownerCounts(t, []string{a.url, b.url}, seeds)
-		if want[a.url] > 0 && want[b.url] > 0 {
-			break
-		}
-	}
-	if want[a.url] == 0 || want[b.url] == 0 {
-		t.Fatalf("degenerate shard split %v for every candidate seed set", want)
-	}
+	seeds, _ := splitSeeds(t, a, b)
 
 	spec, err := scenario.ParseSpec([]byte(fastSpec))
 	if err != nil {

@@ -41,9 +41,9 @@ func TestRestartServesGridFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := c1.Metrics(ctx)
-	if m.SimsCompleted != 6 || m.DiskPuts != 6 || !m.DiskEnabled {
-		t.Fatalf("populate pass: sims %d, disk puts %d, enabled %v; want 6, 6, true", m.SimsCompleted, m.DiskPuts, m.DiskEnabled)
+	m := readMetrics(t, c1)
+	if m("sims_completed") != 6 || m("disk_puts") != 6 || m("disk_cells") != 6 {
+		t.Fatalf("populate pass: sims %v, disk puts %v, disk cells %v; want 6 each", m("sims_completed"), m("disk_puts"), m("disk_cells"))
 	}
 	st1.Close()
 	if st1.Len() != 6 {
@@ -57,12 +57,12 @@ func TestRestartServesGridFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ = c2.Metrics(ctx)
-	if m.SimsCompleted != 0 {
-		t.Errorf("restarted daemon simulated %d cells, want 0", m.SimsCompleted)
+	m = readMetrics(t, c2)
+	if m("sims_completed") != 0 {
+		t.Errorf("restarted daemon simulated %v cells, want 0", m("sims_completed"))
 	}
-	if m.DiskHits != 6 || m.CellHits != 6 {
-		t.Errorf("disk hits %d, cell hits %d; want 6 each", m.DiskHits, m.CellHits)
+	if m("disk_hits") != 6 || m("cell_hits") != 6 {
+		t.Errorf("disk hits %v, cell hits %v; want 6 each", m("disk_hits"), m("cell_hits"))
 	}
 	if after.CachedCells != 6 || after.NewCells != 0 {
 		t.Errorf("re-sweep disposition: %d cached, %d new; want 6, 0", after.CachedCells, after.NewCells)
@@ -118,12 +118,12 @@ func TestCorruptCellQuarantinedAndResimulated(t *testing.T) {
 	if after.Status != StatusDone {
 		t.Fatalf("sweep over a corrupt store did not finish: %+v", after)
 	}
-	m, _ := c2.Metrics(ctx)
-	if m.SimsCompleted != 1 {
-		t.Errorf("resimulated %d cells, want exactly the 1 corrupted", m.SimsCompleted)
+	m := readMetrics(t, c2)
+	if m("sims_completed") != 1 {
+		t.Errorf("resimulated %v cells, want exactly the 1 corrupted", m("sims_completed"))
 	}
-	if m.DiskQuarantined != 1 || m.DiskHits != 5 || m.DiskMisses != 1 {
-		t.Errorf("quarantined %d, disk hits %d, misses %d; want 1, 5, 1", m.DiskQuarantined, m.DiskHits, m.DiskMisses)
+	if m("disk_quarantined") != 1 || m("disk_hits") != 5 || m("disk_misses") != 1 {
+		t.Errorf("quarantined %v, disk hits %v, misses %v; want 1, 5, 1", m("disk_quarantined"), m("disk_hits"), m("disk_misses"))
 	}
 	// The resimulated cell wrote back: the store is whole again.
 	if st2.Len() != 6 {
@@ -146,9 +146,9 @@ func TestEvictionDemotesToDisk(t *testing.T) {
 	if _, err := c.Sweep(ctx, SweepRequest{Spec: json.RawMessage(fastSpec), Seeds: []uint64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	m0, _ := c.Metrics(ctx)
-	if m0.SimsCompleted != 4 || m0.CellEvictions != 3 || m0.CellEntries != 1 {
-		t.Fatalf("populate pass: sims %d, evictions %d, entries %d; want 4, 3, 1", m0.SimsCompleted, m0.CellEvictions, m0.CellEntries)
+	m0 := readMetrics(t, c)
+	if m0("sims_completed") != 4 || m0("cell_evictions") != 3 || m0("cell_entries") != 1 {
+		t.Fatalf("populate pass: sims %v, evictions %v, entries %v; want 4, 3, 1", m0("sims_completed"), m0("cell_evictions"), m0("cell_entries"))
 	}
 	if st.Len() != 4 {
 		t.Fatalf("store holds %d cells, want all 4 (eviction must demote, not delete)", st.Len())
@@ -160,15 +160,15 @@ func TestEvictionDemotesToDisk(t *testing.T) {
 	if _, err := c.Sweep(ctx, SweepRequest{Spec: json.RawMessage(fastSpec), Seeds: []uint64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	m1, _ := c.Metrics(ctx)
-	if m1.SimsCompleted != m0.SimsCompleted {
-		t.Errorf("re-sweep simulated (%d -> %d sims); every cell was on disk or in memory", m0.SimsCompleted, m1.SimsCompleted)
+	m1 := readMetrics(t, c)
+	if m1("sims_completed") != m0("sims_completed") {
+		t.Errorf("re-sweep simulated (%v -> %v sims); every cell was on disk or in memory", m0("sims_completed"), m1("sims_completed"))
 	}
-	if m1.DiskHits < 3 || m1.DiskHits > 4 {
-		t.Errorf("disk hits %d, want 3 or 4 promoted cells", m1.DiskHits)
+	if m1("disk_hits") < 3 || m1("disk_hits") > 4 {
+		t.Errorf("disk hits %v, want 3 or 4 promoted cells", m1("disk_hits"))
 	}
-	if m1.CellHits != m0.CellHits+4 {
-		t.Errorf("cell hits %d -> %d, want +4", m0.CellHits, m1.CellHits)
+	if m1("cell_hits") != m0("cell_hits")+4 {
+		t.Errorf("cell hits %v -> %v, want +4", m0("cell_hits"), m1("cell_hits"))
 	}
 }
 

@@ -23,8 +23,8 @@
 //	POST   /sweeps       submit a sweep: spec × seed list/range × dt axis × buffer subset
 //	GET    /sweeps/{id}  poll per-cell results and the per-axis summary
 //	DELETE /sweeps/{id}  cancel an in-flight sweep / forget a finished one
-//	GET    /metrics      Prometheus text exposition (JSON via Accept: application/json)
-//	GET    /metrics.json the JSON metrics report, unconditionally
+//	GET    /metrics      Prometheus text exposition of the metrics registry
+//	GET    /metrics.json the same registry's counters and gauges as one JSON object
 //	GET    /traces/{id}  this node's raw spans for a trace id (peer merge primitive)
 //
 // plus a trace view per submission kind — GET /runs/{id}/trace,
@@ -49,7 +49,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,7 +107,6 @@ type Config struct {
 // Server implements the service over http.Handler. Create with New, shut
 // down with Close.
 type Server struct {
-	workers    int
 	cacheRuns  int
 	cacheCells int
 	store      *store.Store // nil = memory-only
@@ -318,7 +316,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		workers:    workers,
 		cacheRuns:  cacheRuns,
 		cacheCells: cacheCells,
 		store:      cfg.Store,
@@ -352,50 +349,53 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc("GET "+path+"/trace", s.handleViewTrace(kind))
 	}
 	mux.HandleFunc("GET /traces/{id}", s.handleTraceRaw)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
+	mux.HandleFunc("GET /metrics", handleMetrics("text/plain; version=0.0.4; charset=utf-8", s.reg.WritePrometheus))
+	mux.HandleFunc("GET /metrics.json", handleMetrics("application/json", s.reg.WriteJSON))
 	s.mux = mux
 	return s, nil
 }
 
 // initObs builds the metrics registry, the span store, and the sliding
-// sims/sec window. Counter handles land on the Server fields the rest of
-// this file bumps; gauges read live state through closures (a scrape takes
-// s.mu briefly for the cache sizes — registration order is New-time only,
-// and nothing holding s.mu ever scrapes, so the lock order is one-way).
+// sims/sec window. The registry is the one list of service metrics: each
+// counter and gauge is registered once with its Prometheus name and its
+// /metrics.json key, and both endpoints render from it. Counter handles
+// land on the Server fields the rest of this file bumps; gauges read live
+// state through closures (a scrape takes s.mu briefly for the cache sizes
+// — registration order is New-time only, and nothing holding s.mu ever
+// scrapes, so the lock order is one-way).
 func (s *Server) initObs() {
 	r := obs.NewRegistry()
 	s.reg = r
 	s.spans = obs.NewSpanStore(0, 0)
 	s.rate = obs.NewRateWindow(60)
 
-	s.submitted = r.Counter("react_runs_submitted_total", "Run submissions accepted (POST /runs and peer forwards).")
-	s.hits = r.Counter("react_run_cache_hits_total", "Run submissions served entirely from cache.")
-	s.coalesced = r.Counter("react_run_coalesced_total", "Run submissions with no fresh cells that joined at least one in flight.")
-	s.misses = r.Counter("react_run_cache_misses_total", "Run submissions that scheduled at least one fresh cell.")
-	s.evictions = r.Counter("react_run_evictions_total", "Terminal views evicted past the CacheRuns bound.")
-	s.sweeps = r.Counter("react_sweeps_submitted_total", "Sweep submissions accepted.")
-	s.explorations = r.Counter("react_explorations_submitted_total", "Exploration submissions accepted.")
-	s.explorePoints = r.Counter("react_explore_points_total", "Lattice points probed by exploration strategies.")
-	s.exploreCells = r.Counter("react_explore_cells_total", "Cells attached by exploration strategies.")
-	s.cellHits = r.Counter("react_cell_hits_total", "Cell attachments served from the cache (memory or disk).")
-	s.cellCoalesced = r.Counter("react_cell_coalesced_total", "Cell attachments joined to an in-flight simulation.")
-	s.cellMisses = r.Counter("react_cell_misses_total", "Cell attachments that scheduled a fresh simulation.")
-	s.cellEvicts = r.Counter("react_cell_evictions_total", "Cached cells evicted by LRU pressure.")
-	s.cellsQueued = r.Counter("react_cells_queued_total", "Cells handed to the scheduler (any outcome).")
-	s.cellsDone = r.Counter("react_cells_done_total", "Scheduled cells that reached a terminal state.")
-	s.simsOK = r.Counter("react_sims_completed_total", "Local simulations that completed successfully.")
-	s.simsFailed = r.Counter("react_sims_failed_total", "Local simulations that errored.")
-	s.ticksSimulated = r.Counter("react_ticks_simulated_total", "Cell-ticks actually stepped by the batch executor.")
-	s.ticksFastForwarded = r.Counter("react_ticks_fastforwarded_total", "Cell-ticks skipped by the dead-time fast-forward.")
-	s.tracePasses = r.Counter("react_trace_passes_total", "Lockstep passes over a trace (one per batch).")
-	s.diskHits = r.Counter("react_disk_hits_total", "Memory misses served from the disk tier.")
-	s.diskMisses = r.Counter("react_disk_misses_total", "Memory misses the disk tier could not serve.")
-	s.diskPuts = r.Counter("react_disk_puts_total", "Cells written through to the disk tier.")
-	s.peerRequests = r.Counter("react_peer_requests_total", "Run submissions sent to cluster peers.")
-	s.peerRetries = r.Counter("react_peer_retries_total", "Peer submissions retried after a transport failure.")
-	s.peerFallbacks = r.Counter("react_peer_fallbacks_total", "Peer fan-outs degraded to local simulation.")
-	s.peerCells = r.Counter("react_peer_cells_total", "Cells answered by cluster peers.")
+	s.submitted = r.Counter("react_runs_submitted_total", "runs_submitted", "Run submissions accepted (POST /runs and peer forwards).")
+	s.hits = r.Counter("react_run_cache_hits_total", "cache_hits", "Run submissions served entirely from cache.")
+	s.coalesced = r.Counter("react_run_coalesced_total", "coalesced", "Run submissions with no fresh cells that joined at least one in flight.")
+	s.misses = r.Counter("react_run_cache_misses_total", "cache_misses", "Run submissions that scheduled at least one fresh cell.")
+	s.evictions = r.Counter("react_run_evictions_total", "cache_evictions", "Terminal views evicted past the CacheRuns bound.")
+	s.sweeps = r.Counter("react_sweeps_submitted_total", "sweeps_submitted", "Sweep submissions accepted.")
+	s.explorations = r.Counter("react_explorations_submitted_total", "explorations_submitted", "Exploration submissions accepted.")
+	s.explorePoints = r.Counter("react_explore_points_total", "explore_points_evaluated", "Lattice points probed by exploration strategies.")
+	s.exploreCells = r.Counter("react_explore_cells_total", "explore_cells", "Cells attached by exploration strategies.")
+	s.cellHits = r.Counter("react_cell_hits_total", "cell_hits", "Cell attachments served from the cache (memory or disk).")
+	s.cellCoalesced = r.Counter("react_cell_coalesced_total", "cell_coalesced", "Cell attachments joined to an in-flight simulation.")
+	s.cellMisses = r.Counter("react_cell_misses_total", "cell_misses", "Cell attachments that scheduled a fresh simulation.")
+	s.cellEvicts = r.Counter("react_cell_evictions_total", "cell_evictions", "Cached cells evicted by LRU pressure.")
+	s.cellsQueued = r.Counter("react_cells_queued_total", "cells_queued", "Cells handed to the scheduler (any outcome).")
+	s.cellsDone = r.Counter("react_cells_done_total", "cells_done", "Scheduled cells that reached a terminal state.")
+	s.simsOK = r.Counter("react_sims_completed_total", "sims_completed", "Local simulations that completed successfully.")
+	s.simsFailed = r.Counter("react_sims_failed_total", "sims_failed", "Local simulations that errored.")
+	s.ticksSimulated = r.Counter("react_ticks_simulated_total", "ticks_simulated", "Cell-ticks actually stepped by the batch executor.")
+	s.ticksFastForwarded = r.Counter("react_ticks_fastforwarded_total", "ticks_fastforwarded", "Cell-ticks skipped by the dead-time fast-forward.")
+	s.tracePasses = r.Counter("react_trace_passes_total", "trace_passes", "Lockstep passes over a trace (one per batch).")
+	s.diskHits = r.Counter("react_disk_hits_total", "disk_hits", "Memory misses served from the disk tier.")
+	s.diskMisses = r.Counter("react_disk_misses_total", "disk_misses", "Memory misses the disk tier could not serve.")
+	s.diskPuts = r.Counter("react_disk_puts_total", "disk_puts", "Cells written through to the disk tier.")
+	s.peerRequests = r.Counter("react_peer_requests_total", "peer_requests", "Run submissions sent to cluster peers.")
+	s.peerRetries = r.Counter("react_peer_retries_total", "peer_retries", "Peer submissions retried after a transport failure.")
+	s.peerFallbacks = r.Counter("react_peer_fallbacks_total", "peer_fallbacks", "Peer fan-outs degraded to local simulation.")
+	s.peerCells = r.Counter("react_peer_cells_total", "peer_cells", "Cells answered by cluster peers.")
 
 	s.hCellSim = r.Histogram("react_cell_sim_duration_seconds",
 		"Wall time of the lockstep batch pass that produced each locally simulated cell (observed once per successful cell).",
@@ -411,47 +411,71 @@ func (s *Server) initObs() {
 	s.hDiskGet = r.Histogram("react_disk_get_seconds",
 		"Disk-tier promote-read latency.", obs.DurationBuckets)
 
-	r.Gauge("react_start_time_seconds", "Unix time the server started.").Set(float64(s.start.UnixNano()) / 1e9)
 	r.InfoGauge("react_build_info", "Build metadata; the value is always 1.", obs.BuildInfoLabels())
-	r.GaugeFunc("react_uptime_seconds", "Seconds since the server started.", func() float64 {
-		return time.Since(s.start).Seconds()
-	})
-	r.GaugeFunc("react_workers", "Worker-slot bound on concurrently simulating batches.", func() float64 {
-		return float64(s.workers)
-	})
-	r.GaugeFunc("react_cells_running", "Worker slots currently occupied.", func() float64 {
+	r.Gauge("react_start_time_seconds", "start_time_s", "Unix time the server started.").Set(float64(s.start.UnixNano()) / 1e9)
+	r.Gauge("react_workers", "workers", "Worker-slot bound on concurrently simulating batches.").Set(float64(cap(s.sem)))
+	r.Gauge("react_run_cache_capacity", "cache_capacity", "Bound on terminal views held for polling.").Set(float64(s.cacheRuns))
+	r.Gauge("react_cell_cache_capacity", "cell_capacity", "Bound on finished cells held in memory.").Set(float64(s.cacheCells))
+	uptime := func() float64 { return time.Since(s.start).Seconds() }
+	r.GaugeFunc("react_uptime_seconds", "uptime_s", "Seconds since the server started.", uptime)
+	r.GaugeFunc("react_cells_running", "cells_running", "Worker slots currently occupied.", func() float64 {
 		return float64(len(s.sem))
 	})
-	r.GaugeFunc("react_queue_depth", "Scheduled cells not yet terminal.", func() float64 {
+	r.GaugeFunc("react_queue_depth", "queue_depth", "Scheduled cells not yet terminal.", func() float64 {
 		return float64(int64(s.cellsQueued.Load() - s.cellsDone.Load()))
 	})
-	r.GaugeFunc("react_sims_per_sec_60s", "Completed simulations per second over the trailing minute.", s.rate.Rate)
-	r.GaugeFunc("react_run_cache_entries", "Terminal views held for polling.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.viewLRU.Len())
+	// The lifetime average decays toward zero on an idle server; the
+	// windowed rate beside it is the operationally honest number.
+	r.GaugeFunc("react_sims_per_sec", "sims_per_sec", "Completed simulations per second over the server's lifetime.", func() float64 {
+		return float64(s.simsOK.Load()) / uptime()
 	})
-	r.GaugeFunc("react_cell_cache_entries", "Finished cells held for content-addressed reuse.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.cellLRU.Len())
+	r.GaugeFunc("react_sims_per_sec_60s", "sims_per_sec_60s", "Completed simulations per second over the trailing minute.", s.rate.Rate)
+	// share is a hit rate: num over den, 0 before the first attempt.
+	share := func(num, den uint64) float64 {
+		if den == 0 {
+			return 0
+		}
+		return float64(num) / float64(den)
+	}
+	r.GaugeFunc("react_run_cache_hit_rate", "cache_hit_rate", "Share of run submissions served from cache or coalesced.", func() float64 {
+		return share(s.hits.Load()+s.coalesced.Load(), s.submitted.Load())
 	})
-	r.GaugeFunc("react_dropped_spans", "Spans dropped by span-store bounds.", func() float64 {
+	r.GaugeFunc("react_cell_hit_rate", "cell_hit_rate", "Share of cell attachments served from cache or joined in flight.", func() float64 {
+		served := s.cellHits.Load() + s.cellCoalesced.Load()
+		return share(served, served+s.cellMisses.Load())
+	})
+	// locked reads an s.mu-guarded size at scrape time.
+	locked := func(n func() int) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(n())
+		}
+	}
+	r.GaugeFunc("react_run_cache_entries", "cache_entries", "Terminal views held for polling.", locked(s.viewLRU.Len))
+	r.GaugeFunc("react_cell_cache_entries", "cell_entries", "Finished cells held for content-addressed reuse.", locked(s.cellLRU.Len))
+	r.GaugeFunc("react_runs_tracked", "runs_tracked", "Views tracked, in flight or terminal.", locked(func() int { return len(s.views) }))
+	r.GaugeFunc("react_runs_active", "runs_active", "Tracked views not yet terminal.", locked(func() int { return len(s.views) - s.viewLRU.Len() }))
+	r.GaugeFunc("react_dropped_spans", "dropped_spans", "Spans dropped by span-store bounds.", func() float64 {
 		return float64(s.spans.Dropped())
 	})
+	r.GaugeFunc("react_disk_quarantined", "disk_quarantined", "Disk entries quarantined as corrupt since open.", func() float64 {
+		if s.store == nil {
+			return 0
+		}
+		return float64(s.store.Quarantined())
+	})
 	if s.store != nil {
-		r.GaugeFunc("react_disk_cells", "Cells resident in the disk tier.", func() float64 {
+		r.GaugeFunc("react_disk_cells", "disk_cells", "Cells resident in the disk tier.", func() float64 {
 			return float64(s.store.Len())
 		})
-		r.GaugeFunc("react_disk_quarantined", "Disk entries quarantined as corrupt since open.", func() float64 {
-			return float64(s.store.Quarantined())
-		})
 	}
+	var peers int
 	if s.cluster != nil {
-		r.GaugeFunc("react_cluster_peers", "Other members of the cluster ring.", func() float64 {
-			return float64(len(s.cluster.others))
-		})
+		peers = len(s.cluster.others)
+		r.InfoGauge("react_cluster_info", "Cluster ring identity; the value is always 1.", map[string]string{"self": s.cluster.self})
 	}
+	r.Gauge("react_cluster_peers", "cluster_peers", "Other members of the cluster ring.").Set(float64(peers))
 }
 
 // ServeHTTP implements http.Handler. Body handling is normalized here for
@@ -1243,81 +1267,6 @@ func (s *Server) sweepStatus(v *view) *SweepStatus {
 	return st
 }
 
-// metrics snapshots the counters.
-func (s *Server) metrics() *Metrics {
-	s.mu.Lock()
-	tracked := len(s.views)
-	runEntries := s.viewLRU.Len()
-	cellEntries := s.cellLRU.Len()
-	active := tracked - runEntries
-	s.mu.Unlock()
-
-	queued, done := s.cellsQueued.Load(), s.cellsDone.Load()
-	m := &Metrics{
-		UptimeS:       time.Since(s.start).Seconds(),
-		StartTime:     s.start,
-		Build:         obs.BuildInfoLabels(),
-		Workers:       s.workers,
-		Submitted:     s.submitted.Load(),
-		Sweeps:        s.sweeps.Load(),
-		Explorations:  s.explorations.Load(),
-		ExplorePoints: s.explorePoints.Load(),
-		ExploreCells:  s.exploreCells.Load(),
-		CacheHits:     s.hits.Load(),
-		Coalesced:     s.coalesced.Load(),
-		CacheMisses:   s.misses.Load(),
-		CacheEntries:  runEntries,
-		CacheCapacity: s.cacheRuns,
-		Evictions:     s.evictions.Load(),
-		CellHits:      s.cellHits.Load(),
-		CellCoalesced: s.cellCoalesced.Load(),
-		CellMisses:    s.cellMisses.Load(),
-		CellEntries:   cellEntries,
-		CellCapacity:  s.cacheCells,
-		CellEvictions: s.cellEvicts.Load(),
-		RunsTracked:   tracked,
-		RunsActive:    active,
-		QueueDepth:    int(queued - done),
-		CellsRunning:  len(s.sem),
-		SimsCompleted: s.simsOK.Load(),
-		SimsFailed:    s.simsFailed.Load(),
-
-		TicksSimulated:     s.ticksSimulated.Load(),
-		TicksFastForwarded: s.ticksFastForwarded.Load(),
-		TracePasses:        s.tracePasses.Load(),
-	}
-	if s.store != nil {
-		m.DiskEnabled = true
-		m.DiskCells = s.store.Len()
-		m.DiskHits = s.diskHits.Load()
-		m.DiskMisses = s.diskMisses.Load()
-		m.DiskPuts = s.diskPuts.Load()
-		m.DiskQuarantined = s.store.Quarantined()
-	}
-	if s.cluster != nil {
-		m.ClusterSelf = s.cluster.self
-		m.ClusterPeers = len(s.cluster.others)
-		m.PeerRequests = s.peerRequests.Load()
-		m.PeerRetries = s.peerRetries.Load()
-		m.PeerFallbacks = s.peerFallbacks.Load()
-		m.PeerCells = s.peerCells.Load()
-	}
-	if m.Submitted > 0 {
-		m.CacheHitRate = float64(m.CacheHits+m.Coalesced) / float64(m.Submitted)
-	}
-	if attach := m.CellHits + m.CellCoalesced + m.CellMisses; attach > 0 {
-		m.CellHitRate = float64(m.CellHits+m.CellCoalesced) / float64(attach)
-	}
-	if m.UptimeS > 0 {
-		// The lifetime average decays toward zero on an idle server; the
-		// windowed rate beside it is the operationally honest number.
-		m.SimsPerSec = float64(m.SimsCompleted) / m.UptimeS
-	}
-	m.SimsPerSec60 = s.rate.Rate()
-	m.DroppedSpans = s.spans.Dropped()
-	return m
-}
-
 // --- HTTP handlers ---
 
 // maxSpecBytes bounds an inline spec submission.
@@ -1491,21 +1440,13 @@ func (s *Server) deleteView(v *view) {
 	s.mu.Unlock()
 }
 
-// handleMetrics serves the Prometheus text exposition by default; a client
-// asking for application/json (the pre-observability shape, still served
-// unconditionally at /metrics.json) gets the JSON report instead.
-func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if strings.Contains(req.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, s.metrics())
-		return
+// handleMetrics serves the metrics registry in one of its two renderings.
+func handleMetrics(ctype string, render func(io.Writer) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", ctype)
+		w.WriteHeader(http.StatusOK)
+		_ = render(w)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_ = s.reg.WritePrometheus(w)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics())
 }
 
 // parentSpan extracts the submitter's span context from a request's

@@ -42,6 +42,25 @@ func newTestService(t *testing.T, cfg Config) (*Server, *Client) {
 	return srv, c
 }
 
+// readMetrics fetches c's JSON metrics report and returns a reader over
+// it that fails the test on a key the report lacks, so a mistyped key can
+// never read as 0.
+func readMetrics(t *testing.T, c *Client) func(key string) float64 {
+	t.Helper()
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(key string) float64 {
+		t.Helper()
+		v, ok := m[key]
+		if !ok {
+			t.Fatalf("metrics report has no key %q", key)
+		}
+		return v
+	}
+}
+
 func TestScenariosEndpointListsRegistry(t *testing.T) {
 	_, c := newTestService(t, Config{})
 	infos, err := c.Scenarios(context.Background())
@@ -114,21 +133,18 @@ func TestLoadSmoke(t *testing.T) {
 		}
 	}
 
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	m := readMetrics(t, c)
+	if m("cache_misses") != 1 {
+		t.Errorf("%v simulations launched for %v identical submissions, want exactly 1 (single-flight)", m("cache_misses"), clients)
 	}
-	if m.CacheMisses != 1 {
-		t.Errorf("%d simulations launched for %d identical submissions, want exactly 1 (single-flight)", m.CacheMisses, clients)
+	if m("cache_hits")+m("coalesced") != clients-1 {
+		t.Errorf("hits %v + coalesced %v, want %v deduplicated submissions", m("cache_hits"), m("coalesced"), clients-1)
 	}
-	if m.CacheHits+m.Coalesced != clients-1 {
-		t.Errorf("hits %d + coalesced %d, want %d deduplicated submissions", m.CacheHits, m.Coalesced, clients-1)
+	if m("sims_completed") != 2 {
+		t.Errorf("%v cells simulated, want the spec's 2", m("sims_completed"))
 	}
-	if m.SimsCompleted != 2 {
-		t.Errorf("%d cells simulated, want the spec's 2", m.SimsCompleted)
-	}
-	if m.QueueDepth != 0 {
-		t.Errorf("queue depth %d after drain, want 0", m.QueueDepth)
+	if m("queue_depth") != 0 {
+		t.Errorf("queue depth %v after drain, want 0", m("queue_depth"))
 	}
 
 	// A repeat after completion is a pure cache hit served as done.
@@ -162,9 +178,9 @@ func TestNamedScenarioRunAndSeedAddressing(t *testing.T) {
 	if st2.Fingerprint == st.Fingerprint {
 		t.Error("seed 2 must not share seed 1's fingerprint")
 	}
-	m, _ := c.Metrics(ctx)
-	if m.CacheMisses != 2 || m.CacheHits != 0 {
-		t.Errorf("want two independent simulations, got misses %d hits %d", m.CacheMisses, m.CacheHits)
+	m := readMetrics(t, c)
+	if m("cache_misses") != 2 || m("cache_hits") != 0 {
+		t.Errorf("want two independent simulations, got misses %v hits %v", m("cache_misses"), m("cache_hits"))
 	}
 	// The explicit default seed maps onto the already-cached address.
 	st3, err := c.Run(ctx, RunRequest{Scenario: "energy-attack", Seed: 1})
@@ -174,8 +190,8 @@ func TestNamedScenarioRunAndSeedAddressing(t *testing.T) {
 	if st3.Fingerprint != st.Fingerprint || !st3.Cached {
 		t.Error("seed 1 spelled out must hit the defaulted run's cached cells")
 	}
-	if m, _ = c.Metrics(ctx); m.CacheMisses != 2 {
-		t.Errorf("cache misses %d after the cached resubmission, want still 2", m.CacheMisses)
+	if m = readMetrics(t, c); m("cache_misses") != 2 {
+		t.Errorf("cache misses %v after the cached resubmission, want still 2", m("cache_misses"))
 	}
 }
 
@@ -332,12 +348,9 @@ func TestCancelStopsARun(t *testing.T) {
 	}
 	// Cancelled cells still drain through the scheduler: the queue must
 	// read empty once the run is terminal.
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.QueueDepth != 0 {
-		t.Errorf("queue depth %d after a cancelled run drained, want 0", m.QueueDepth)
+	m := readMetrics(t, c)
+	if m("queue_depth") != 0 {
+		t.Errorf("queue depth %v after a cancelled run drained, want 0", m("queue_depth"))
 	}
 }
 
@@ -365,22 +378,16 @@ func TestCancelThenResubmitSimulatesAfresh(t *testing.T) {
 	if queued.Fingerprint == "" || queued.Status != StatusRunning {
 		t.Fatalf("want a fingerprinted run queued behind the blocker: %+v", queued)
 	}
-	before, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := readMetrics(t, c)
 	srv.mu.Lock()
 	v := srv.views[queued.ID]
 	srv.mu.Unlock()
 	srv.deleteView(v) // the core of DELETE /runs/{id}
 	again := srv.Submit(spec, scenario.RunOptions{})
 
-	after, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := readMetrics(t, c)
 	cells := len(again.Cells)
-	if newCells := int(after.CellMisses - before.CellMisses); newCells != cells || cells != 2 {
+	if newCells := int(after("cell_misses") - before("cell_misses")); newCells != cells || cells != 2 {
 		t.Errorf("resubmission scheduled %d fresh cells of %d, want all 2", newCells, cells)
 	}
 	if again.Cached || again.Coalesced {
@@ -412,16 +419,16 @@ func TestEvictionBoundsTheRunViews(t *testing.T) {
 	if _, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(b)}); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := c.Metrics(ctx)
-	if m.Evictions != 1 || m.CacheEntries != 1 {
-		t.Errorf("evictions %d entries %d, want 1 and 1", m.Evictions, m.CacheEntries)
+	m := readMetrics(t, c)
+	if m("cache_evictions") != 1 || m("cache_entries") != 1 {
+		t.Errorf("evictions %v entries %v, want 1 and 1", m("cache_evictions"), m("cache_entries"))
 	}
 	if _, err := (&RemoteRun{c: c, ID: a.ID}).Poll(ctx); err == nil {
 		t.Error("the evicted run must be forgotten")
 	}
 	// Evicting the view does not evict its cells: resubmitting A is served
 	// from the cell cache without a single new simulation.
-	before := m.CellMisses
+	before := m("cell_misses")
 	a2, err := c.RunAsync(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})
 	if err != nil {
 		t.Fatal(err)
@@ -432,9 +439,9 @@ func TestEvictionBoundsTheRunViews(t *testing.T) {
 	if a2.Submitted.ID == a.ID {
 		t.Error("the resubmission must be a fresh view, not the evicted one")
 	}
-	m, _ = c.Metrics(ctx)
-	if m.CellMisses != before {
-		t.Errorf("cell misses went %d -> %d on a fully cached resubmission", before, m.CellMisses)
+	m = readMetrics(t, c)
+	if m("cell_misses") != before {
+		t.Errorf("cell misses went %v -> %v on a fully cached resubmission", before, m("cell_misses"))
 	}
 }
 
@@ -499,11 +506,11 @@ func TestFailedRunsDoNotEvictCachedCells(t *testing.T) {
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
-	m, _ := c.Metrics(ctx)
-	if m.RunsTracked > 1 || m.CacheEntries > 1 {
-		t.Errorf("tracked %d views, %d terminal: the failed view escaped the CacheRuns bound of 1", m.RunsTracked, m.CacheEntries)
+	m := readMetrics(t, c)
+	if m("runs_tracked") > 1 || m("cache_entries") > 1 {
+		t.Errorf("tracked %v views, %v terminal: the failed view escaped the CacheRuns bound of 1", m("runs_tracked"), m("cache_entries"))
 	}
-	before := m.CellMisses
+	before := m("cell_misses")
 	again, err := c.RunAsync(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})
 	if err != nil {
 		t.Fatal(err)
@@ -511,12 +518,12 @@ func TestFailedRunsDoNotEvictCachedCells(t *testing.T) {
 	if !again.Submitted.Cached {
 		t.Error("the completed run's cells must still be served from the cache")
 	}
-	m, _ = c.Metrics(ctx)
-	if m.CellMisses != before {
-		t.Errorf("cell misses went %d -> %d on a fully cached resubmission", before, m.CellMisses)
+	m = readMetrics(t, c)
+	if m("cell_misses") != before {
+		t.Errorf("cell misses went %v -> %v on a fully cached resubmission", before, m("cell_misses"))
 	}
-	if m.RunsTracked > 1 {
-		t.Errorf("tracked %d views, want at most CacheRuns = 1", m.RunsTracked)
+	if m("runs_tracked") > 1 {
+		t.Errorf("tracked %v views, want at most CacheRuns = 1", m("runs_tracked"))
 	}
 }
 

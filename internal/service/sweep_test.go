@@ -89,15 +89,15 @@ func TestSweepBatchesOneTracePassPerSeed(t *testing.T) {
 	if len(st.Cells) != 6 { // 3 seeds × 2 buffers
 		t.Fatalf("sweep ran %d cells, want 6", len(st.Cells))
 	}
-	m, _ := c.Metrics(ctx)
-	if m.TracePasses != uint64(len(seeds)) {
-		t.Errorf("trace passes = %d, want %d: each seed's cells must share one lockstep pass", m.TracePasses, len(seeds))
+	m := readMetrics(t, c)
+	if m("trace_passes") != float64(len(seeds)) {
+		t.Errorf("trace passes = %v, want %v: each seed's cells must share one lockstep pass", m("trace_passes"), len(seeds))
 	}
-	if m.TicksSimulated == 0 {
+	if m("ticks_simulated") == 0 {
 		t.Error("ticks_simulated stayed zero across a six-cell sweep")
 	}
-	if m.SimsCompleted != 6 {
-		t.Errorf("sims completed = %d, want 6 (every cell still retires its own result)", m.SimsCompleted)
+	if m("sims_completed") != 6 {
+		t.Errorf("sims completed = %v, want 6 (every cell still retires its own result)", m("sims_completed"))
 	}
 }
 
@@ -118,7 +118,7 @@ func TestSweepThenRunPerformsZeroNewSimulations(t *testing.T) {
 	if len(sw.Cells) != 10 { // 5 paper buffers × 2 seeds
 		t.Fatalf("sweep ran %d cells, want 10", len(sw.Cells))
 	}
-	m0, _ := c.Metrics(ctx)
+	m0 := readMetrics(t, c)
 
 	st, err := c.Run(ctx, RunRequest{Scenario: "paper-de-rf-cart"})
 	if err != nil {
@@ -127,15 +127,15 @@ func TestSweepThenRunPerformsZeroNewSimulations(t *testing.T) {
 	if st.Status != StatusDone || st.Seed != 1 {
 		t.Fatalf("run after sweep: %+v", st)
 	}
-	m1, _ := c.Metrics(ctx)
-	if m1.CellMisses != m0.CellMisses {
-		t.Errorf("cell misses went %d -> %d: the run re-simulated sweep cells", m0.CellMisses, m1.CellMisses)
+	m1 := readMetrics(t, c)
+	if m1("cell_misses") != m0("cell_misses") {
+		t.Errorf("cell misses went %v -> %v: the run re-simulated sweep cells", m0("cell_misses"), m1("cell_misses"))
 	}
-	if m1.CellHits != m0.CellHits+5 {
-		t.Errorf("cell hits went %d -> %d, want +5", m0.CellHits, m1.CellHits)
+	if m1("cell_hits") != m0("cell_hits")+5 {
+		t.Errorf("cell hits went %v -> %v, want +5", m0("cell_hits"), m1("cell_hits"))
 	}
-	if m1.SimsCompleted != m0.SimsCompleted {
-		t.Errorf("simulations went %d -> %d, want zero new work", m0.SimsCompleted, m1.SimsCompleted)
+	if m1("sims_completed") != m0("sims_completed") {
+		t.Errorf("simulations went %v -> %v, want zero new work", m0("sims_completed"), m1("sims_completed"))
 	}
 	// And the run's per-buffer results are exactly the sweep's seed-1 cells.
 	for _, cell := range st.Cells {
@@ -262,9 +262,9 @@ func TestSweepCancel(t *testing.T) {
 	if _, err := (&RemoteRun{c: c, ID: blocker.ID}).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := c.Metrics(ctx)
-	if m.QueueDepth != 0 {
-		t.Errorf("queue depth %d after a cancelled sweep drained, want 0", m.QueueDepth)
+	m := readMetrics(t, c)
+	if m("queue_depth") != 0 {
+		t.Errorf("queue depth %v after a cancelled sweep drained, want 0", m("queue_depth"))
 	}
 	// The cancelled addresses left the index: a fresh run re-simulates.
 	st, err := c.Run(ctx, RunRequest{Spec: json.RawMessage(fastSpec)})

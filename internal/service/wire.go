@@ -303,79 +303,12 @@ func toScenarioInfo(s *scenario.Spec) ScenarioInfo {
 	return info
 }
 
-// Metrics is the JSON metrics report (GET /metrics.json, or GET /metrics
-// with Accept: application/json): cache effectiveness at both granularities
-// (whole-run submissions and content-addressed cells), queue state and
-// simulation throughput. The same counters back the Prometheus text
-// exposition at GET /metrics.
-type Metrics struct {
-	UptimeS float64 `json:"uptime_s"`
-	// StartTime is when the server started; Build is the binary's build
-	// metadata (Go toolchain, module version, VCS revision when stamped).
-	StartTime     time.Time         `json:"start_time"`
-	Build         map[string]string `json:"build,omitempty"`
-	Workers       int               `json:"workers"`
-	Submitted     uint64            `json:"runs_submitted"`
-	Sweeps        uint64            `json:"sweeps_submitted"`
-	Explorations  uint64            `json:"explorations_submitted"`
-	ExplorePoints uint64            `json:"explore_points_evaluated"`
-	ExploreCells  uint64            `json:"explore_cells"`
-	CacheHits     uint64            `json:"cache_hits"`
-	Coalesced     uint64            `json:"coalesced"`
-	CacheMisses   uint64            `json:"cache_misses"`
-	CacheHitRate  float64           `json:"cache_hit_rate"`
-	CacheEntries  int               `json:"cache_entries"`
-	CacheCapacity int               `json:"cache_capacity"`
-	Evictions     uint64            `json:"cache_evictions"`
-	CellHits      uint64            `json:"cell_hits"`
-	CellCoalesced uint64            `json:"cell_coalesced"`
-	CellMisses    uint64            `json:"cell_misses"`
-	CellHitRate   float64           `json:"cell_hit_rate"`
-	CellEntries   int               `json:"cell_entries"`
-	CellCapacity  int               `json:"cell_capacity"`
-	CellEvictions uint64            `json:"cell_evictions"`
-	RunsTracked   int               `json:"runs_tracked"`
-	RunsActive    int               `json:"runs_active"`
-	QueueDepth    int               `json:"queue_depth"`
-	CellsRunning  int               `json:"cells_running"`
-	SimsCompleted uint64            `json:"sims_completed"`
-	SimsFailed    uint64            `json:"sims_failed"`
-	// SimsPerSec is the lifetime average (sims completed over uptime) and
-	// decays toward zero while the server idles; SimsPerSec60 is the
-	// trailing-minute rate — the number to watch on a live node.
-	SimsPerSec   float64 `json:"sims_per_sec"`
-	SimsPerSec60 float64 `json:"sims_per_sec_60s"`
-	// DroppedSpans counts spans discarded by the span store's bounds.
-	DroppedSpans uint64 `json:"dropped_spans,omitempty"`
-
-	// Batched-executor accounting: cell-ticks actually stepped, cell-ticks
-	// skipped by the dead-time fast-forward, and lockstep passes over a
-	// trace (one per batch, however many cells shared it — a sweep of S
-	// seeds over K buffers makes S passes, not S×K).
-	TicksSimulated     uint64 `json:"ticks_simulated"`
-	TicksFastForwarded uint64 `json:"ticks_fastforwarded"`
-	TracePasses        uint64 `json:"trace_passes"`
-
-	// Disk-tier accounting, present when the node has a persistent store:
-	// entries on disk, memory misses served from (or missed by) disk,
-	// write-throughs, and entries quarantined as corrupt since open.
-	DiskEnabled     bool   `json:"disk_enabled,omitempty"`
-	DiskCells       int    `json:"disk_cells,omitempty"`
-	DiskHits        uint64 `json:"disk_hits,omitempty"`
-	DiskMisses      uint64 `json:"disk_misses,omitempty"`
-	DiskPuts        uint64 `json:"disk_puts,omitempty"`
-	DiskQuarantined uint64 `json:"disk_quarantined,omitempty"`
-
-	// Cluster accounting, present in cluster mode: ring identity, peer
-	// run submissions (with retries), fan-outs degraded to local
-	// simulation, and cells answered by peers.
-	ClusterSelf   string `json:"cluster_self,omitempty"`
-	ClusterPeers  int    `json:"cluster_peers,omitempty"`
-	PeerRequests  uint64 `json:"peer_requests,omitempty"`
-	PeerRetries   uint64 `json:"peer_retries,omitempty"`
-	PeerFallbacks uint64 `json:"peer_fallbacks,omitempty"`
-	PeerCells     uint64 `json:"peer_cells,omitempty"`
-}
+// Metrics is the JSON metrics report (GET /metrics.json): every counter
+// and gauge of the server's metrics registry under its JSON key — the same
+// numbers GET /metrics exposes as Prometheus text. A key is present
+// whenever its metric is registered; disk_cells only with a disk store.
+// A non-finite gauge travels as null and decodes as 0.
+type Metrics map[string]float64
 
 // TraceResponse is the GET trace report. The per-view endpoints
 // (/runs/{id}/trace and friends) return the assembled tree, merged across

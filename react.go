@@ -389,7 +389,8 @@ type (
 	ServiceServer = service.Server
 	// ServiceConfig tunes a ServiceServer (worker pool, cache size).
 	ServiceConfig = service.Config
-	// ServiceMetrics is the GET /metrics report.
+	// ServiceMetrics is the GET /metrics.json report: every counter and
+	// gauge under its JSON key.
 	ServiceMetrics = service.Metrics
 	// Client talks to a running reactd; create one with Dial.
 	Client = service.Client

@@ -246,8 +246,8 @@ func TestServiceFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CacheMisses != 1 || m.SimsCompleted != 2 {
-		t.Errorf("misses %d sims %d, want 1 simulation of 2 cells total", m.CacheMisses, m.SimsCompleted)
+	if m["cache_misses"] != 1 || m["sims_completed"] != 2 {
+		t.Errorf("misses %v sims %v, want 1 simulation of 2 cells total", m["cache_misses"], m["sims_completed"])
 	}
 
 	infos, err := client.Scenarios(ctx)
