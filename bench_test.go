@@ -245,7 +245,7 @@ func BenchmarkSwitchingLoss(b *testing.B) {
 		m := react.NewMorphy(react.DefaultMorphyConfig())
 		m.Harvest(0.5 * 250e-6 * 3.4 * 3.4)
 		before := m.Stored()
-		for m.Level() < m.MaxLevel() {
+		for top := len(m.Traits().Guarantee) - 1; m.Level() < top; {
 			m.Tick(0, 0.1, false)
 			m.Harvest(1e-3) // keep it above V_high so the ladder climbs
 		}
@@ -273,7 +273,8 @@ func BenchmarkReclamation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf := react.NewREACT(react.DefaultConfig())
 		// Charge fully with the device on so the controller expands.
-		for tick := 0; buf.Level() < buf.MaxLevel() && tick < 400000; tick++ {
+		top := len(buf.Traits().Guarantee) - 1
+		for tick := 0; buf.Level() < top && tick < 400000; tick++ {
 			buf.Harvest(40e-3 * 1e-3)
 			buf.Tick(float64(tick)*1e-3, 1e-3, true)
 		}

@@ -22,7 +22,7 @@ func ExampleRun() {
 		panic(err)
 	}
 	fmt.Printf("started after %.1f s, buffer expanded to level %d of %d\n",
-		res.Latency, buf.Level(), buf.MaxLevel())
+		res.Latency, buf.Level(), len(buf.Traits().Guarantee)-1)
 	// Output: started after 3.9 s, buffer expanded to level 0 of 10
 }
 
@@ -39,10 +39,10 @@ func ExampleMaxUnitCapacitance() {
 // Software-directed longevity: find the capacitance level that guarantees
 // enough energy for an atomic radio transmission, then wait for it.
 func ExampleLevelFor() {
-	buf := react.NewREACT(react.DefaultConfig())
-	lvl, ok := react.LevelFor(buf, 5e-3) // a 5 mJ transmission
+	guarantee := react.NewREACT(react.DefaultConfig()).Traits().Guarantee
+	lvl, ok := react.LevelFor(guarantee, 5e-3) // a 5 mJ transmission
 	fmt.Printf("wait for level %d (guarantees %.1f mJ, ok=%v)\n",
-		lvl, buf.GuaranteedEnergy(lvl)*1e3, ok)
+		lvl, guarantee[lvl]*1e3, ok)
 	// Output: wait for level 3 (guarantees 6.4 mJ, ok=true)
 }
 

@@ -31,13 +31,13 @@ func main() {
 
 	// Show the level ladder: what energy each REACT capacitance level
 	// guarantees, and which level a 5 mJ transmission needs.
-	rb := react.NewREACT(react.DefaultConfig())
+	guarantee := react.NewREACT(react.DefaultConfig()).Traits().Guarantee
 	fmt.Println("REACT capacitance levels and their energy guarantees:")
-	for lvl := 0; lvl <= rb.MaxLevel(); lvl++ {
-		fmt.Printf("  level %2d: %6.2f mJ\n", lvl, rb.GuaranteedEnergy(lvl)*1e3)
+	for lvl, g := range guarantee {
+		fmt.Printf("  level %2d: %6.2f mJ\n", lvl, g*1e3)
 	}
 	const txEnergy = 4.95e-3 * 1.4 // transmission cost with safety margin
-	if lvl, ok := react.LevelFor(rb, txEnergy); ok {
+	if lvl, ok := react.LevelFor(guarantee, txEnergy); ok {
 		fmt.Printf("a %.1f mJ transmission needs level %d\n\n", txEnergy*1e3, lvl)
 	}
 

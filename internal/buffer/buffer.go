@@ -20,14 +20,37 @@ func (l *Ledger) TotalLoss() float64 {
 	return l.Clipped + l.Leaked + l.SwitchLoss + l.Overhead
 }
 
+// Traits are the facts about a buffer that are fixed when it is built. A
+// consumer reads them once, when it binds the buffer, and never on the tick
+// path.
+type Traits struct {
+	// Name identifies the design in tables ("770 µF", "REACT", ...).
+	Name string
+	// OverheadFrac is the fraction of device CPU time consumed by the
+	// buffer's management software (0 for designs with no software
+	// component or an externally powered controller).
+	OverheadFrac float64
+	// Guarantee[k] is the usable energy (above the device's minimum
+	// operating voltage) that reaching capacitance level k implies, so
+	// software can wait for the level that covers an atomic operation
+	// (§3.4.1). Guarantee[0] is 0 and the largest level is
+	// len(Guarantee)-1. It is nil for a design without a level ladder.
+	// The buffer shares the slice with every caller: treat it as read-only.
+	Guarantee []float64
+	// VEnable is the buffer's wake voltage for the power gate, the Dewdrop
+	// (NSDI'11) approach of waking at a task-matched voltage. 0 means the
+	// device profile's default.
+	VEnable float64
+}
+
 // Buffer is an energy store between the harvesting frontend and the device.
 //
 // Call order within one simulation tick: Harvest, Draw (possibly several),
 // then Tick to advance internal processes (diode relaxation, leakage,
 // clipping, controller polling).
 type Buffer interface {
-	// Name identifies the design in tables ("770 µF", "REACT", ...).
-	Name() string
+	// Traits returns the buffer's construction-time facts.
+	Traits() Traits
 	// Harvest deposits dE joules arriving from the frontend.
 	Harvest(dE float64)
 	// Draw withdraws up to dE joules for the load and returns the energy
@@ -46,57 +69,32 @@ type Buffer interface {
 	Tick(now, dt float64, deviceOn bool)
 	// Ledger exposes the accumulated energy accounting.
 	Ledger() *Ledger
-	// SoftwareOverheadFraction is the fraction of device CPU time consumed
-	// by the buffer's management software (0 for designs with no software
-	// component or an externally powered controller).
-	SoftwareOverheadFraction() float64
-}
-
-// Leveler is implemented by buffers whose capacitance level is a usable
-// surrogate for stored energy (§3.4.1): software can wait for a level that
-// guarantees enough energy for an atomic operation.
-type Leveler interface {
-	// Level is the current capacitance step (0 = minimum configuration).
+	// Level is the current capacitance level, an index into
+	// Traits().Guarantee (0 = minimum configuration, and always 0 for a
+	// design without a level ladder).
 	Level() int
-	// MaxLevel is the largest reachable level.
-	MaxLevel() int
-	// GuaranteedEnergy returns the usable energy (above the device's
-	// minimum operating voltage) that reaching the given level implies.
-	GuaranteedEnergy(level int) float64
+	// QuiescentOff reports whether a power-gated tick would change
+	// nothing. The batched simulator uses it to fast-forward dead time:
+	// while the device is off, the harvester delivers nothing, and the
+	// buffer is quiescent, entire tick stretches are exact no-ops and the
+	// clock can jump over them without stepping.
+	//
+	// It must return true only when Tick(now, dt, false) would leave every
+	// bit of buffer state unchanged for any now and dt — typically: no
+	// leakable charge, no overvoltage to clip, no pending internal
+	// relaxation, and any poll timer already at its device-off reset
+	// value. A buffer that cannot prove this returns false and is stepped
+	// tick by tick.
+	QuiescentOff() bool
 }
 
 // LevelFor returns the smallest level whose guarantee covers the requested
-// energy, or max level (and false) if no level guarantees it.
-func LevelFor(l Leveler, energy float64) (int, bool) {
-	for lvl := 0; lvl <= l.MaxLevel(); lvl++ {
-		if l.GuaranteedEnergy(lvl) >= energy {
+// energy, or the largest level (and false) if no level guarantees it.
+func LevelFor(guarantee []float64, energy float64) (int, bool) {
+	for lvl, g := range guarantee {
+		if g >= energy {
 			return lvl, true
 		}
 	}
-	return l.MaxLevel(), false
-}
-
-// EnableHinter is implemented by buffers that direct the power gate's
-// enable voltage instead of accepting the platform default — the Dewdrop
-// (NSDI'11) approach of waking the system at a task-matched voltage.
-type EnableHinter interface {
-	// EnableVoltage returns the buffer-recommended wake-up voltage.
-	EnableVoltage() float64
-}
-
-// Quiescent is implemented by buffers that can prove a power-gated tick
-// would change nothing. The batched simulator uses it to fast-forward dead
-// time: while the device is off, the harvester delivers nothing, and the
-// buffer is quiescent, entire tick stretches are exact no-ops and the clock
-// can jump over them without stepping.
-//
-// QuiescentOff must return true only when Tick(now, dt, false) would leave
-// every bit of buffer state unchanged for any now and dt — typically: no
-// leakable charge, no overvoltage to clip, no pending internal relaxation,
-// and any poll timer already at its device-off reset value. Buffers that
-// cannot prove this (e.g. Morphy, whose externally powered controller polls
-// regardless of device state) simply do not implement the interface and are
-// always stepped tick by tick.
-type Quiescent interface {
-	QuiescentOff() bool
+	return len(guarantee) - 1, false
 }

@@ -12,12 +12,12 @@ func newTest() *Static {
 }
 
 func TestStaticName(t *testing.T) {
-	if got := newTest().Name(); !strings.Contains(got, "1000") {
+	if got := newTest().Traits().Name; !strings.Contains(got, "1000") {
 		t.Errorf("derived name %q should mention the capacitance", got)
 	}
 	named := NewStatic(StaticConfig{Name: "primary", C: 1e-3})
-	if named.Name() != "primary" {
-		t.Errorf("explicit name lost: %q", named.Name())
+	if got := named.Traits().Name; got != "primary" {
+		t.Errorf("explicit name lost: %q", got)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestStaticLeaksOverTime(t *testing.T) {
 }
 
 func TestStaticNoSoftwareOverhead(t *testing.T) {
-	if newTest().SoftwareOverheadFraction() != 0 {
+	if newTest().Traits().OverheadFrac != 0 {
 		t.Error("static buffers need no management software")
 	}
 }
@@ -116,30 +116,15 @@ func TestLedgerTotalLoss(t *testing.T) {
 	}
 }
 
-// fakeLeveler exercises LevelFor.
-type fakeLeveler struct{ guarantees []float64 }
-
-func (f fakeLeveler) Level() int    { return 0 }
-func (f fakeLeveler) MaxLevel() int { return len(f.guarantees) - 1 }
-func (f fakeLeveler) GuaranteedEnergy(level int) float64 {
-	if level < 0 {
-		return 0
-	}
-	if level >= len(f.guarantees) {
-		level = len(f.guarantees) - 1
-	}
-	return f.guarantees[level]
-}
-
 func TestLevelFor(t *testing.T) {
-	l := fakeLeveler{guarantees: []float64{0, 1e-3, 5e-3, 20e-3}}
+	l := []float64{0, 1e-3, 5e-3, 20e-3}
 	if lvl, ok := LevelFor(l, 4e-3); !ok || lvl != 2 {
 		t.Errorf("LevelFor(4 mJ) = %d,%v, want 2,true", lvl, ok)
 	}
 	if lvl, ok := LevelFor(l, 0); !ok || lvl != 0 {
 		t.Errorf("LevelFor(0) = %d,%v, want 0,true", lvl, ok)
 	}
-	if _, ok := LevelFor(l, 1); ok {
-		t.Error("unsatisfiable guarantee must report !ok")
+	if lvl, ok := LevelFor(l, 1); ok || lvl != 3 {
+		t.Errorf("LevelFor(1 J) = %d,%v, want the largest level 3 and false", lvl, ok)
 	}
 }

@@ -16,10 +16,9 @@ import (
 // capacitor size": the capacitor is as fixed as any static buffer.
 type Dewdrop struct {
 	cap    circuit.Capacitor
-	name   string
 	vMin   float64
 	vCeil  float64
-	task   float64 // energy of the pending task, joules
+	traits Traits
 	ledger Ledger
 }
 
@@ -46,9 +45,9 @@ func NewDewdrop(cfg DewdropConfig) *Dewdrop {
 		name = fmt.Sprintf("Dewdrop %.0f µF", cfg.C*1e6)
 	}
 	d := &Dewdrop{
-		name:  name,
-		vMin:  cfg.VMin,
-		vCeil: cfg.VEnableCeil,
+		traits: Traits{Name: name},
+		vMin:   cfg.VMin,
+		vCeil:  cfg.VEnableCeil,
 		cap: circuit.Capacitor{
 			C: cfg.C, VMax: cfg.VMax,
 			LeakI: cfg.LeakI, VRated: cfg.VRated,
@@ -61,35 +60,34 @@ func NewDewdrop(cfg DewdropConfig) *Dewdrop {
 	return d
 }
 
-var (
-	_ Buffer       = (*Dewdrop)(nil)
-	_ EnableHinter = (*Dewdrop)(nil)
-	_ Leveler      = (*Dewdrop)(nil)
-)
+var _ Buffer = (*Dewdrop)(nil)
 
 // SetTaskEnergy updates the pending-task energy that drives the enable
-// voltage (Dewdrop's software interface).
-func (d *Dewdrop) SetTaskEnergy(e float64) { d.task = e }
-
-// EnableVoltage implements EnableHinter: the voltage at which the
-// capacitor holds the task energy above the brownout floor,
-// √(2E/C + V_min²), clamped to the configured ceiling.
-func (d *Dewdrop) EnableVoltage() float64 {
-	if d.cap.C == 0 {
-		return d.vCeil
+// voltage (Dewdrop's software interface) and recomputes the traits from
+// it. Call it before the run: a simulated device reads a buffer's traits
+// once, when it binds the buffer.
+//
+// Dewdrop has exactly one capacitance configuration, so its level ladder is
+// binary: level 1 means the task-matched enable voltage is reached and the
+// pending task's energy is guaranteed. That lets the RT/PF workloads gate
+// atomic operations the way Dewdrop's runtime does — run one task per
+// wake-up instead of attempting doomed repeats. The enable voltage is the
+// one at which the capacitor holds the task energy above the brownout
+// floor, √(2E/C + V_min²), clamped to [V_min, the configured ceiling].
+func (d *Dewdrop) SetTaskEnergy(e float64) {
+	d.traits.Guarantee = []float64{0, e}
+	switch v := math.Sqrt(2*e/d.cap.C + d.vMin*d.vMin); {
+	case d.cap.C == 0 || v > d.vCeil:
+		d.traits.VEnable = d.vCeil
+	case v < d.vMin:
+		d.traits.VEnable = d.vMin
+	default:
+		d.traits.VEnable = v
 	}
-	v := math.Sqrt(2*d.task/d.cap.C + d.vMin*d.vMin)
-	if v > d.vCeil {
-		return d.vCeil
-	}
-	if v < d.vMin {
-		return d.vMin
-	}
-	return v
 }
 
-// Name implements Buffer.
-func (d *Dewdrop) Name() string { return d.name }
+// Traits implements Buffer.
+func (d *Dewdrop) Traits() Traits { return d.traits }
 
 // Harvest implements Buffer.
 func (d *Dewdrop) Harvest(dE float64) {
@@ -122,39 +120,17 @@ func (d *Dewdrop) Tick(now, dt float64, deviceOn bool) {
 	d.ledger.Leaked += d.cap.Leak(dt)
 }
 
-// QuiescentOff implements Quiescent: like Static, the off-tick is leakage
+// QuiescentOff implements Buffer: like Static, the off-tick is leakage
 // only.
 func (d *Dewdrop) QuiescentOff() bool { return d.cap.LeakI <= 0 || d.cap.Q <= 0 }
 
 // Ledger implements Buffer.
 func (d *Dewdrop) Ledger() *Ledger { return &d.ledger }
 
-// SoftwareOverheadFraction implements Buffer: recomputing one square root
-// per task is negligible.
-func (d *Dewdrop) SoftwareOverheadFraction() float64 { return 0 }
-
-// Dewdrop has exactly one capacitance configuration, so its "level ladder"
-// is binary: level 1 means the task-matched enable voltage is reached and
-// the pending task's energy is guaranteed. Exposing it through Leveler
-// lets the RT/PF workloads gate atomic operations the way Dewdrop's
-// runtime does — run one task per wake-up instead of attempting doomed
-// repeats.
-
-// Level implements Leveler.
+// Level implements Buffer: 1 once the rail reaches the enable voltage.
 func (d *Dewdrop) Level() int {
-	if d.cap.Voltage() >= d.EnableVoltage()-1e-9 {
+	if d.cap.Voltage() >= d.traits.VEnable-1e-9 {
 		return 1
 	}
 	return 0
-}
-
-// MaxLevel implements Leveler.
-func (d *Dewdrop) MaxLevel() int { return 1 }
-
-// GuaranteedEnergy implements Leveler.
-func (d *Dewdrop) GuaranteedEnergy(level int) float64 {
-	if level <= 0 {
-		return 0
-	}
-	return d.task
 }

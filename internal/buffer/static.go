@@ -43,8 +43,9 @@ func NewStatic(cfg StaticConfig) *Static {
 	}
 }
 
-// Name implements Buffer.
-func (s *Static) Name() string { return s.name }
+// Traits implements Buffer: a static buffer has a name and nothing else —
+// no management software, no level ladder, the platform's wake voltage.
+func (s *Static) Traits() Traits { return Traits{Name: s.name} }
 
 // Harvest implements Buffer.
 func (s *Static) Harvest(dE float64) {
@@ -77,7 +78,7 @@ func (s *Static) Tick(now, dt float64, deviceOn bool) {
 	s.ledger.Leaked += s.cap.Leak(dt)
 }
 
-// QuiescentOff implements Quiescent: a static buffer's off-tick is only
+// QuiescentOff implements Buffer: a static buffer's off-tick is only
 // leakage, which is a no-op exactly when Leak would return without touching
 // the charge (no leakage current, or nothing left to leak).
 func (s *Static) QuiescentOff() bool { return s.cap.LeakI <= 0 || s.cap.Q <= 0 }
@@ -85,6 +86,5 @@ func (s *Static) QuiescentOff() bool { return s.cap.LeakI <= 0 || s.cap.Q <= 0 }
 // Ledger implements Buffer.
 func (s *Static) Ledger() *Ledger { return &s.ledger }
 
-// SoftwareOverheadFraction implements Buffer: static buffers need no
-// management software.
-func (s *Static) SoftwareOverheadFraction() float64 { return 0 }
+// Level implements Buffer: one fixed configuration, level 0.
+func (s *Static) Level() int { return 0 }

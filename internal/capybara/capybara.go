@@ -60,24 +60,26 @@ func DefaultConfig() Config {
 	}
 }
 
-// Buffer is a Capybara-style array. It implements buffer.Buffer and
-// buffer.Leveler.
+// Buffer is a Capybara-style array.
 type Buffer struct {
 	cfg    Config
+	traits buffer.Traits
 	banks  []*circuit.Capacitor
 	mode   int // banks 0..mode are active
 	ledger buffer.Ledger
 	poll   float64
 }
 
-var (
-	_ buffer.Buffer  = (*Buffer)(nil)
-	_ buffer.Leveler = (*Buffer)(nil)
-)
+var _ buffer.Buffer = (*Buffer)(nil)
 
-// New builds the array with every bank empty and only bank 0 active.
+// New builds the array with every bank empty and only bank 0 active. The
+// level ladder is the mode ladder: reaching mode k required the rail at
+// V_high on the mode k−1 capacitance, which fixes the energy it guarantees.
 func New(cfg Config) *Buffer {
-	b := &Buffer{cfg: cfg}
+	b := &Buffer{cfg: cfg, traits: buffer.Traits{
+		Name:      "Capybara",
+		Guarantee: make([]float64, len(cfg.Banks)),
+	}}
 	for _, c := range cfg.Banks {
 		b.banks = append(b.banks, &circuit.Capacitor{
 			C: c, LeakI: cfg.LeakIPerF * c, VRated: cfg.VRated, VMax: cfg.VMax,
@@ -86,11 +88,20 @@ func New(cfg Config) *Buffer {
 	if cfg.PollHz > 0 {
 		b.poll = 1 / cfg.PollHz
 	}
+	for lvl := 1; lvl < len(b.banks); lvl++ {
+		var cc float64
+		for _, c := range b.banks[:lvl] {
+			cc += c.C
+		}
+		b.traits.Guarantee[lvl] = 0.5 * cc * (cfg.VHigh*cfg.VHigh - 1.8*1.8)
+	}
 	return b
 }
 
-// Name implements buffer.Buffer.
-func (b *Buffer) Name() string { return "Capybara" }
+// Traits implements buffer.Buffer: mode checks are a few comparisons per
+// poll, far below REACT's bank state machines, so the software overhead is
+// treated as free.
+func (b *Buffer) Traits() buffer.Traits { return b.traits }
 
 // active returns the connected banks.
 func (b *Buffer) active() []*circuit.Capacitor { return b.banks[:b.mode+1] }
@@ -246,7 +257,7 @@ func (b *Buffer) railNodes() []circuit.Node {
 	return ns
 }
 
-// QuiescentOff implements buffer.Quiescent. A device-off tick leaks and
+// QuiescentOff implements buffer.Buffer. A device-off tick leaks and
 // clips every bank, then resets the poll phase; it is a no-op exactly when
 // every bank has nothing to leak or clip and the poll timer already sits at
 // its reset value (true from the first off-tick on, since the reset is
@@ -268,29 +279,5 @@ func (b *Buffer) QuiescentOff() bool {
 // Ledger implements buffer.Buffer.
 func (b *Buffer) Ledger() *buffer.Ledger { return &b.ledger }
 
-// SoftwareOverheadFraction implements buffer.Buffer: mode checks are a few
-// comparisons per poll, far below REACT's bank state machines; treat as
-// free.
-func (b *Buffer) SoftwareOverheadFraction() float64 { return 0 }
-
-// Level implements buffer.Leveler: the current mode.
+// Level implements buffer.Buffer: the current mode.
 func (b *Buffer) Level() int { return b.mode }
-
-// MaxLevel implements buffer.Leveler.
-func (b *Buffer) MaxLevel() int { return len(b.banks) - 1 }
-
-// GuaranteedEnergy implements buffer.Leveler: reaching mode k required the
-// rail at V_high on the mode k−1 capacitance.
-func (b *Buffer) GuaranteedEnergy(level int) float64 {
-	if level <= 0 {
-		return 0
-	}
-	if level > b.MaxLevel() {
-		level = b.MaxLevel()
-	}
-	var cc float64
-	for _, c := range b.banks[:level] {
-		cc += c.C
-	}
-	return 0.5 * cc * (b.cfg.VHigh*b.cfg.VHigh - 1.8*1.8)
-}

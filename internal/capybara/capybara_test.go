@@ -97,15 +97,14 @@ func TestDrawServesFromActiveRail(t *testing.T) {
 func TestGuaranteedEnergyMonotonic(t *testing.T) {
 	b := New(DefaultConfig())
 	prev := -1.0
-	for lvl := 0; lvl <= b.MaxLevel(); lvl++ {
-		g := b.GuaranteedEnergy(lvl)
+	for lvl, g := range b.Traits().Guarantee {
 		if g < prev {
 			t.Errorf("guarantee not monotonic at %d", lvl)
 		}
 		prev = g
 	}
-	if b.GuaranteedEnergy(99) != b.GuaranteedEnergy(b.MaxLevel()) {
-		t.Error("beyond-max clamps")
+	if got := len(b.Traits().Guarantee); got != len(b.banks) {
+		t.Errorf("guarantee table has %d levels, want one per mode (%d)", got, len(b.banks))
 	}
 }
 
@@ -133,7 +132,7 @@ func TestEnergyConservation(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(DefaultConfig()).Name() != "Capybara" {
+	if New(DefaultConfig()).Traits().Name != "Capybara" {
 		t.Error("name")
 	}
 }

@@ -86,8 +86,7 @@ func (c Config) MaxCapacitance() float64 {
 	return total
 }
 
-// Buffer is a REACT energy buffer. It implements buffer.Buffer and
-// buffer.Leveler.
+// Buffer is a REACT energy buffer.
 type Buffer struct {
 	cfg    Config
 	llb    circuit.Capacitor
@@ -101,16 +100,10 @@ type Buffer struct {
 	// banks).
 	volts []float64
 
-	// guarantee caches GuaranteedEnergy per level. The table depends only
-	// on the immutable config, and workloads probe it every step through
-	// buffer.LevelFor, so it is computed once at construction.
-	guarantee []float64
+	traits buffer.Traits
 }
 
-var (
-	_ buffer.Buffer  = (*Buffer)(nil)
-	_ buffer.Leveler = (*Buffer)(nil)
-)
+var _ buffer.Buffer = (*Buffer)(nil)
 
 // New builds a REACT buffer from cfg.
 func New(cfg Config) *Buffer {
@@ -128,16 +121,26 @@ func New(cfg Config) *Buffer {
 	if b.poll == 0 && cfg.PollHz > 0 {
 		b.poll = 1 / cfg.PollHz
 	}
-	b.guarantee = make([]float64, b.MaxLevel()+1)
-	for lvl := 1; lvl <= b.MaxLevel(); lvl++ {
+	// The level ladder is the controller's expand sequence: level 0 is the
+	// bare LLB and each bank contributes two levels (series, then
+	// parallel). Reaching level k required the rail to be at V_high with
+	// the level k−1 capacitance connected, so at least the usable energy of
+	// that configuration (between V_high and the device floor V_min) was
+	// stored. Level 0 guarantees nothing.
+	b.traits = buffer.Traits{
+		Name:         "REACT",
+		OverheadFrac: cfg.SoftwareOverhead,
+		Guarantee:    make([]float64, 2*len(b.banks)+1),
+	}
+	for lvl := 1; lvl < len(b.traits.Guarantee); lvl++ {
 		c := b.capacitanceAtStep(lvl - 1)
-		b.guarantee[lvl] = 0.5 * c * (b.cfg.VHigh*b.cfg.VHigh - b.cfg.VMin*b.cfg.VMin)
+		b.traits.Guarantee[lvl] = 0.5 * c * (b.cfg.VHigh*b.cfg.VHigh - b.cfg.VMin*b.cfg.VMin)
 	}
 	return b
 }
 
-// Name implements buffer.Buffer.
-func (b *Buffer) Name() string { return "REACT" }
+// Traits implements buffer.Buffer.
+func (b *Buffer) Traits() buffer.Traits { return b.traits }
 
 // Config returns the configuration the buffer was built with.
 func (b *Buffer) Config() Config { return b.cfg }
@@ -363,7 +366,7 @@ func (b *Buffer) stepDown() {
 	b.relax()
 }
 
-// QuiescentOff implements buffer.Quiescent. A device-off tick relaxes the
+// QuiescentOff implements buffer.Buffer. A device-off tick relaxes the
 // output diodes, leaks and clips every capacitor, and resets the poll
 // phase; it is a no-op exactly when no bank diode is forward-biased, no
 // capacitor has charge to leak or clip, and the poll timer already sits at
@@ -397,30 +400,9 @@ func (b *Buffer) QuiescentOff() bool {
 // Ledger implements buffer.Buffer.
 func (b *Buffer) Ledger() *buffer.Ledger { return &b.ledger }
 
-// SoftwareOverheadFraction implements buffer.Buffer.
-func (b *Buffer) SoftwareOverheadFraction() float64 { return b.cfg.SoftwareOverhead }
-
-// Level implements buffer.Leveler: the controller's position in the expand
-// sequence. Level 0 is the bare LLB; each bank contributes two levels
-// (series, then parallel).
+// Level implements buffer.Buffer: the controller's position in the expand
+// sequence.
 func (b *Buffer) Level() int { return b.step }
-
-// MaxLevel implements buffer.Leveler.
-func (b *Buffer) MaxLevel() int { return 2 * len(b.banks) }
-
-// GuaranteedEnergy implements buffer.Leveler: reaching level k required the
-// rail to be at V_high with the level k−1 capacitance connected, so at least
-// the usable energy of that configuration (between V_high and the device
-// floor V_min) was stored. Level 0 guarantees nothing.
-func (b *Buffer) GuaranteedEnergy(level int) float64 {
-	if level <= 0 {
-		return 0
-	}
-	if level > b.MaxLevel() {
-		level = b.MaxLevel()
-	}
-	return b.guarantee[level]
-}
 
 // capacitanceAtStep returns the equivalent rail capacitance after the first
 // `step` controller actions.

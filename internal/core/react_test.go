@@ -125,8 +125,8 @@ func TestControllerExpandSequence(t *testing.T) {
 	if step != 4 {
 		t.Fatalf("controller only reached step %d of 4", step)
 	}
-	if b.Level() != b.MaxLevel() {
-		t.Errorf("level %d, want max %d", b.Level(), b.MaxLevel())
+	if top := len(b.Traits().Guarantee) - 1; b.Level() != top {
+		t.Errorf("level %d, want max %d", b.Level(), top)
 	}
 }
 
@@ -210,38 +210,38 @@ func TestDrawFallsBackToBanks(t *testing.T) {
 
 func TestGuaranteedEnergyMonotonic(t *testing.T) {
 	b := New(DefaultConfig())
+	guarantee := b.Traits().Guarantee
 	prev := -1.0
-	for lvl := 0; lvl <= b.MaxLevel(); lvl++ {
-		g := b.GuaranteedEnergy(lvl)
+	for lvl, g := range guarantee {
 		if g < prev {
 			t.Errorf("guarantee not monotonic at level %d: %g < %g", lvl, g, prev)
 		}
 		prev = g
 	}
-	if b.GuaranteedEnergy(0) != 0 {
+	if guarantee[0] != 0 {
 		t.Error("level 0 guarantees nothing")
 	}
-	if b.GuaranteedEnergy(b.MaxLevel()+5) != b.GuaranteedEnergy(b.MaxLevel()) {
-		t.Error("levels beyond max clamp to max")
+	if got := len(guarantee); got != 2*len(b.banks)+1 {
+		t.Errorf("guarantee table has %d levels, want two per bank plus the bare LLB (%d)", got, 2*len(b.banks)+1)
 	}
 }
 
 func TestLevelFor(t *testing.T) {
-	b := New(DefaultConfig())
+	guarantee := New(DefaultConfig()).Traits().Guarantee
 	// A 12.4 mJ radio transmission needs a level whose guarantee covers it.
-	lvl, ok := buffer.LevelFor(b, 12.4e-3)
+	lvl, ok := buffer.LevelFor(guarantee, 12.4e-3)
 	if !ok {
 		t.Fatal("Table 1 configuration must be able to guarantee a radio TX")
 	}
-	if g := b.GuaranteedEnergy(lvl); g < 12.4e-3 {
+	if g := guarantee[lvl]; g < 12.4e-3 {
 		t.Errorf("level %d guarantees %g J < 12.4 mJ", lvl, g)
 	}
 	if lvl > 0 {
-		if g := b.GuaranteedEnergy(lvl - 1); g >= 12.4e-3 {
+		if g := guarantee[lvl-1]; g >= 12.4e-3 {
 			t.Errorf("level %d already sufficed", lvl-1)
 		}
 	}
-	if _, ok := buffer.LevelFor(b, 1e6); ok {
+	if _, ok := buffer.LevelFor(guarantee, 1e6); ok {
 		t.Error("megajoule guarantee should be impossible")
 	}
 }
@@ -274,5 +274,5 @@ func TestEnergyConservation(t *testing.T) {
 
 func TestSoftwareOverheadFraction(t *testing.T) {
 	b := New(DefaultConfig())
-	approx(t, b.SoftwareOverheadFraction(), 0.018, 0, "paper: 1.8 % at 10 Hz")
+	approx(t, b.Traits().OverheadFrac, 0.018, 0, "paper: 1.8 % at 10 Hz")
 }

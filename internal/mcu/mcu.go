@@ -139,9 +139,11 @@ type Env struct {
 	// OverheadFrac is the fraction of CPU time consumed by the buffer's
 	// management software (REACT's 10 Hz poll costs 1.8 %).
 	OverheadFrac float64
-	// Levels exposes the buffer's capacitance-level interface when the
-	// buffer supports software-directed longevity (nil otherwise).
-	Levels buffer.Leveler
+	// Guarantee is the buffer's level→energy table (buffer.Traits) when
+	// the buffer supports software-directed longevity, nil otherwise.
+	Guarantee []float64
+	// Level is the buffer's current capacitance level.
+	Level int
 }
 
 // UsableEnergy estimates the energy software can still extract before the
@@ -232,12 +234,11 @@ type Device struct {
 	// to the heap on the tick path (a per-tick allocation at simulation
 	// rates; workloads only read it within Step).
 	env Env
-	// bound caches the buffer's optional-interface lookups; a device steps
-	// against one buffer for a whole run, so the per-tick type assertions
-	// collapse to one pointer comparison.
-	bound   buffer.Buffer
-	hinter  buffer.EnableHinter
-	leveler buffer.Leveler
+	// bound is the buffer whose traits the device holds. A device steps
+	// against one buffer for a whole run, so reading the traits once at
+	// bind leaves one pointer comparison on the tick path.
+	bound  buffer.Buffer
+	traits buffer.Traits
 }
 
 // NewDevice builds a device in the Off state.
@@ -252,20 +253,30 @@ func (d *Device) State() State { return d.state }
 // or in a checkpoint burst).
 func (d *Device) Powered() bool { return d.state != Off }
 
+// bind reads buf's traits unless the device already holds them.
+func (d *Device) bind(buf buffer.Buffer) {
+	if d.bound != buf {
+		d.bound, d.traits = buf, buf.Traits()
+	}
+}
+
+// EnableVoltage returns the voltage at which the power gate wakes the device
+// on buf: the buffer's own wake voltage when its traits set one (Dewdrop),
+// the profile's otherwise.
+func (d *Device) EnableVoltage(buf buffer.Buffer) float64 {
+	d.bind(buf)
+	if d.traits.VEnable != 0 {
+		return d.traits.VEnable
+	}
+	return d.Prof.VEnable
+}
+
 // Step advances the device by dt seconds, drawing energy from buf.
 func (d *Device) Step(now, dt float64, buf buffer.Buffer) {
-	if d.bound != buf {
-		d.bound = buf
-		d.hinter, _ = buf.(buffer.EnableHinter)
-		d.leveler, _ = buf.(buffer.Leveler)
-	}
+	d.bind(buf)
 	v := buf.OutputVoltage()
 	if d.state == Off {
-		venable := d.Prof.VEnable
-		if d.hinter != nil {
-			venable = d.hinter.EnableVoltage()
-		}
-		if v >= venable {
+		if v >= d.EnableVoltage(buf) {
 			d.state = Booting
 			d.bootLeft = d.Prof.BootTime
 			if d.FirstOn < 0 {
@@ -314,8 +325,9 @@ func (d *Device) Step(now, dt float64, buf buffer.Buffer) {
 			Voltage:      v,
 			VMin:         d.Prof.VBrownout,
 			Capacitance:  buf.Capacitance(),
-			OverheadFrac: buf.SoftwareOverheadFraction(),
-			Levels:       d.leveler,
+			OverheadFrac: d.traits.OverheadFrac,
+			Guarantee:    d.traits.Guarantee,
+			Level:        buf.Level(),
 		}
 		current = d.WL.Step(&d.env, dt)
 	}

@@ -156,14 +156,18 @@ func TestDefaultProfileValues(t *testing.T) {
 	}
 }
 
-// hintBuf wraps a static buffer with a custom enable voltage, exercising
-// the EnableHinter hook (the Dewdrop mechanism).
+// hintBuf wraps a static buffer with a custom enable voltage in its
+// traits, exercising the wake-voltage hook (the Dewdrop mechanism).
 type hintBuf struct {
 	*buffer.Static
 	enable float64
 }
 
-func (h hintBuf) EnableVoltage() float64 { return h.enable }
+func (h hintBuf) Traits() buffer.Traits {
+	t := h.Static.Traits()
+	t.VEnable = h.enable
+	return t
+}
 
 func TestDeviceHonoursEnableHint(t *testing.T) {
 	wl := &stubWorkload{current: 1e-3}

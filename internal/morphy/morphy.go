@@ -73,7 +73,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Buffer is a Morphy array. It implements buffer.Buffer and buffer.Leveler.
+// Buffer is a Morphy array.
 type Buffer struct {
 	cfg     Config
 	caps    []*circuit.Capacitor
@@ -83,17 +83,10 @@ type Buffer struct {
 	ledger  buffer.Ledger
 	poll    float64
 	holdoff int // polls remaining before another reconfiguration is allowed
-
-	// guarantee caches GuaranteedEnergy per level. The table depends only
-	// on the immutable config, and workloads probe it every step through
-	// buffer.LevelFor, so it is computed once at construction.
-	guarantee []float64
+	traits  buffer.Traits
 }
 
-var (
-	_ buffer.Buffer  = (*Buffer)(nil)
-	_ buffer.Leveler = (*Buffer)(nil)
-)
+var _ buffer.Buffer = (*Buffer)(nil)
 
 // New builds a Morphy buffer. It panics if a partition does not cover
 // exactly NumCaps capacitors (a configuration bug, not a runtime state).
@@ -117,14 +110,17 @@ func New(cfg Config) *Buffer {
 	if cfg.PollHz > 0 {
 		b.poll = 1 / cfg.PollHz
 	}
-	b.guarantee = make([]float64, b.MaxLevel()+1)
-	for lvl := 1; lvl <= b.MaxLevel(); lvl++ {
+	// Level k is partition k. Reaching it required the rail at V_high on
+	// the level k−1 partition. The controller runs on a separate, externally
+	// powered microcontroller, costing the device no software overhead.
+	b.traits = buffer.Traits{Name: "Morphy", Guarantee: make([]float64, len(cfg.Partitions))}
+	for lvl := 1; lvl < len(b.traits.Guarantee); lvl++ {
 		var c float64
 		for _, m := range cfg.Partitions[lvl-1] {
 			c += cfg.UnitC / float64(m)
 		}
 		// Usable energy between V_high and the 1.8 V device floor.
-		b.guarantee[lvl] = 0.5 * c * (cfg.VHigh*cfg.VHigh - 1.8*1.8)
+		b.traits.Guarantee[lvl] = 0.5 * c * (cfg.VHigh*cfg.VHigh - 1.8*1.8)
 	}
 	return b
 }
@@ -154,8 +150,8 @@ func (b *Buffer) rebuild() {
 	}
 }
 
-// Name implements buffer.Buffer.
-func (b *Buffer) Name() string { return "Morphy" }
+// Traits implements buffer.Buffer.
+func (b *Buffer) Traits() buffer.Traits { return b.traits }
 
 // equalize relaxes the parallel chain network, charging any imbalance to
 // the switch-loss ledger.
@@ -312,24 +308,10 @@ func (b *Buffer) controllerPoll() {
 // Ledger implements buffer.Buffer.
 func (b *Buffer) Ledger() *buffer.Ledger { return &b.ledger }
 
-// SoftwareOverheadFraction implements buffer.Buffer: the controller runs on
-// a separate externally powered microcontroller, costing the device nothing.
-func (b *Buffer) SoftwareOverheadFraction() float64 { return 0 }
-
-// Level implements buffer.Leveler: the current partition index.
+// Level implements buffer.Buffer: the current partition index.
 func (b *Buffer) Level() int { return b.idx }
 
-// MaxLevel implements buffer.Leveler.
-func (b *Buffer) MaxLevel() int { return len(b.cfg.Partitions) - 1 }
-
-// GuaranteedEnergy implements buffer.Leveler: reaching level k required the
-// rail at V_high on the level k−1 partition.
-func (b *Buffer) GuaranteedEnergy(level int) float64 {
-	if level <= 0 {
-		return 0
-	}
-	if level > b.MaxLevel() {
-		level = b.MaxLevel()
-	}
-	return b.guarantee[level]
-}
+// QuiescentOff implements buffer.Buffer: never, because the externally
+// powered controller polls, and the chains leak, whether or not the device
+// is on.
+func (b *Buffer) QuiescentOff() bool { return false }

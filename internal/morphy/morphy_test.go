@@ -18,12 +18,13 @@ func TestDefaultLadder(t *testing.T) {
 	// Smallest configuration: eight 2 mF capacitors in series = 250 µF,
 	// the paper's quoted Morphy minimum.
 	approx(t, b.Capacitance(), 250e-6, 1e-12, "minimum configuration")
-	if b.MaxLevel() != 10 {
-		t.Fatalf("want 11 configurations, got %d", b.MaxLevel()+1)
+	levels := len(b.Traits().Guarantee)
+	if levels != 11 {
+		t.Fatalf("want 11 configurations, got %d", levels)
 	}
 	// The ladder must increase monotonically up to the 16 mF maximum.
 	prev := 0.0
-	for i := 0; i <= b.MaxLevel(); i++ {
+	for i := 0; i < levels; i++ {
 		b.idx = i
 		b.rebuild()
 		c := b.Capacitance()
@@ -85,7 +86,7 @@ func TestReconfigurationDissipates(t *testing.T) {
 	cfg := DefaultConfig()
 	b := New(cfg)
 	// Charge the full-parallel configuration, then walk the ladder down.
-	b.idx = b.MaxLevel()
+	b.idx = len(cfg.Partitions) - 1
 	b.rebuild()
 	b.Harvest(0.5 * 16e-3 * 3.4 * 3.4)
 	before := b.Stored()
@@ -157,8 +158,7 @@ func TestControllerStepsDownOnUndervoltage(t *testing.T) {
 func TestGuaranteedEnergyMonotonic(t *testing.T) {
 	b := New(DefaultConfig())
 	prev := -1.0
-	for lvl := 0; lvl <= b.MaxLevel(); lvl++ {
-		g := b.GuaranteedEnergy(lvl)
+	for lvl, g := range b.Traits().Guarantee {
 		if g < prev {
 			t.Errorf("guarantee not monotonic at level %d: %g < %g", lvl, g, prev)
 		}
@@ -205,7 +205,7 @@ func TestEnergyConservation(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(DefaultConfig()).Name() != "Morphy" {
+	if New(DefaultConfig()).Traits().Name != "Morphy" {
 		t.Error("name")
 	}
 }

@@ -189,8 +189,8 @@ func TestPresetBufferNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("preset %q: %v", name, err)
 		}
-		if !strings.Contains(b.Name(), name) {
-			t.Errorf("buffer %q reports name %q", name, b.Name())
+		if got := b.Traits().Name; !strings.Contains(got, name) {
+			t.Errorf("buffer %q reports name %q", name, got)
 		}
 		if b.Capacitance() <= 0 {
 			t.Errorf("buffer %q has no capacitance", name)

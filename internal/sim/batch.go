@@ -56,12 +56,8 @@ type batchCell struct {
 	recIdx  int
 	samples []Sample
 	initial float64
-	// quiet proves device-off ticks are no-ops; nil disables fast-forward
-	// for this cell (it is then always stepped).
-	quiet  buffer.Quiescent
-	hinter buffer.EnableHinter
-	done   bool
-	result Result
+	done    bool
+	result  Result
 	// ticks/ffTicks are this cell's share of the batch tick accounting.
 	ticks   uint64
 	ffTicks uint64
@@ -170,8 +166,6 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 			// Pre-size for the trace plus the bounded drain tail.
 			c.samples = make([]Sample, 0, int((b.traceDur+c.tailCap)/c.recordDT)+2)
 		}
-		c.quiet, _ = cfg.Buffer.(buffer.Quiescent)
-		c.hinter, _ = cfg.Buffer.(buffer.EnableHinter)
 		c.initial = c.buf.Stored()
 		c.v = c.buf.OutputVoltage()
 		if cfg.Probe != nil {
@@ -277,7 +271,7 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 func (c *batchCell) retire(tEnd float64) {
 	c.done = true
 	c.result = Result{
-		Buffer:        c.buf.Name(),
+		Buffer:        c.buf.Traits().Name,
 		Workload:      c.dev.WL.Name(),
 		Latency:       c.dev.FirstOn,
 		OnTime:        c.dev.OnTime,
@@ -305,7 +299,8 @@ func (c *batchCell) retire(tEnd float64) {
 //     converter delivers zero and Harvest(0) returns immediately;
 //   - every live device is Off with its rail below the effective enable
 //     voltage, so Device.Step changes nothing;
-//   - every live buffer proves its device-off Tick is a no-op (Quiescent).
+//   - every live buffer proves its device-off Tick is a no-op
+//     (QuiescentOff).
 //
 // Frozen state stays frozen across the span, so one eligibility check
 // covers every skipped tick. The wake tick is the earliest upcoming event:
@@ -319,20 +314,13 @@ func (b *batch) fastForwardFrom(tick int) int {
 		if c.done {
 			continue
 		}
-		if c.quiet == nil || c.dev.State() != mcu.Off {
-			return tick
-		}
-		venable := c.dev.Prof.VEnable
-		if c.hinter != nil {
-			venable = c.hinter.EnableVoltage()
-		}
-		if c.v >= venable {
+		if c.dev.State() != mcu.Off || c.v >= c.dev.EnableVoltage(c.buf) {
 			return tick
 		}
 		if !c.identity && c.conv.Deliver(0, c.v) != 0 {
 			return tick
 		}
-		if !c.quiet.QuiescentOff() {
+		if !c.buf.QuiescentOff() {
 			return tick
 		}
 	}
@@ -369,14 +357,15 @@ func (b *batch) fastForwardFrom(tick int) int {
 // "no skip", never a wrong skip.
 func (b *batch) zeroRunEnd(tick int) int {
 	n := len(b.tr.Power)
-	si := tick
+	pos := float64(tick)
 	if !b.aligned {
 		// Mirror Trace.At's index computation at this tick's time.
-		si = int(float64(tick) * b.dt / b.tr.DT)
+		pos = float64(tick) * b.dt / b.tr.DT
 	}
-	if si >= n {
+	if !(pos < float64(n)) {
 		return tickInf
 	}
+	si := int(pos)
 	// Extend (or restart) the memoized all-zero sample run to cover si.
 	if si < b.zeroFrom || si >= b.zeroTo {
 		b.zeroFrom, b.zeroTo = si, si

@@ -361,3 +361,54 @@ func TestSchemeFastForwardStillEngages(t *testing.T) {
 		t.Error("fast-forward never engaged over the dead tail of a suspended device")
 	}
 }
+
+// TestRunBatchTinyTraceSpacing replays a recording whose sample spacing is
+// 1e-300 s at a 1 ms timestep. Every tick after the first reads ~1e297
+// samples past the start; Trace.At and the batch's dead-time scan once
+// converted that position to a wrapped negative index and panicked. The
+// run must finish, and match the reference loop bit for bit. At 1000 W
+// every preset wakes. The leak-free Dewdrop charges to 3.4 V on the first
+// tick, which is above the profile's 3.3 V retirement bound but below its
+// own 3.6 V wake voltage; it idles off and quiescent through the drain
+// tail, so the dead-time scan runs past the end of the recording.
+func TestRunBatchTinyTraceSpacing(t *testing.T) {
+	leakFree := func() buffer.Buffer {
+		return buffer.NewDewdrop(buffer.DewdropConfig{C: 770e-6, VMax: 3.6, VMin: 1.8, TaskEnergy: 1})
+	}
+	cases := []struct {
+		buf   string
+		power float64
+		build func() buffer.Buffer
+	}{
+		{"REACT", 1000, nil}, {"770 µF", 1000, nil}, {"Morphy", 1000, nil},
+		{"Capybara", 1000, nil}, {"Dewdrop", 1000, nil},
+		{"leak-free Dewdrop", 0.5 * 770e-6 * 3.4 * 3.4 / 1e-3, leakFree},
+	}
+	for _, c := range cases {
+		p := c.power
+		tr := &trace.Trace{Name: "tiny", DT: 1e-300, Power: []float64{p, p, p}}
+		cell := func() sim.Config {
+			if c.build == nil {
+				return presetCell(t, tr, c.buf, "DE", 1e-3, 1, 0)
+			}
+			cfg := presetCell(t, tr, "770 µF", "DE", 1e-3, 1, 0)
+			cfg.Buffer = c.build()
+			return cfg
+		}
+		want, err := sim.RunReference(cell())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st sim.Stats
+		got, err := sim.RunBatch([]sim.Config{cell()}, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0], want) {
+			t.Errorf("%s: batched run diverges from reference", c.buf)
+		}
+		if c.build != nil && st.TicksFastForwarded == 0 {
+			t.Errorf("%s: the drain tail was stepped, not fast-forwarded", c.buf)
+		}
+	}
+}

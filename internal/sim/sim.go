@@ -227,7 +227,7 @@ func RunReference(cfg Config) (Result, error) {
 	}
 
 	return Result{
-		Buffer:        buf.Name(),
+		Buffer:        buf.Traits().Name,
 		Workload:      dev.WL.Name(),
 		Latency:       dev.FirstOn,
 		OnTime:        dev.OnTime,

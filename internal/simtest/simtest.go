@@ -6,9 +6,9 @@
 //
 // The central tool is Check, which wraps any buffer.Buffer in a
 // pass-through recorder that audits every Harvest/Draw/Tick against the
-// buffer's own energy ledger. The wrapper preserves the optional Leveler
-// and EnableHinter interfaces, so wrapping never changes simulation
-// behaviour — a property the scenario determinism suite relies on.
+// buffer's own energy ledger. The wrapper passes the buffer's traits and
+// level through, so wrapping never changes simulation results — a property
+// the scenario determinism suite relies on.
 package simtest
 
 import (
@@ -58,7 +58,7 @@ func (r *Recorder) Err() error {
 		return nil
 	}
 	return fmt.Errorf("simtest: %s: %d violation(s) over %d ticks, first: %v",
-		r.inner.Name(), len(r.violations), r.ticks, r.violations)
+		r.inner.Traits().Name, len(r.violations), r.ticks, r.violations)
 }
 
 // Ticks returns how many Tick calls the recorder audited.
@@ -69,7 +69,7 @@ type checked struct {
 	rec *Recorder
 }
 
-func (c *checked) Name() string { return c.rec.inner.Name() }
+func (c *checked) Traits() buffer.Traits { return c.rec.inner.Traits() }
 
 func (c *checked) Harvest(dE float64) {
 	if dE < 0 || math.IsNaN(dE) {
@@ -90,9 +90,12 @@ func (c *checked) OutputVoltage() float64 { return c.rec.inner.OutputVoltage() }
 func (c *checked) Stored() float64        { return c.rec.inner.Stored() }
 func (c *checked) Capacitance() float64   { return c.rec.inner.Capacitance() }
 func (c *checked) Ledger() *buffer.Ledger { return c.rec.inner.Ledger() }
-func (c *checked) SoftwareOverheadFraction() float64 {
-	return c.rec.inner.SoftwareOverheadFraction()
-}
+func (c *checked) Level() int             { return c.rec.inner.Level() }
+
+// QuiescentOff never admits quiescence, so the batched simulator cannot
+// fast-forward an audited run: it steps, and the recorder checks, every
+// tick.
+func (c *checked) QuiescentOff() bool { return false }
 
 func (c *checked) Tick(now, dt float64, deviceOn bool) {
 	r := c.rec
@@ -121,36 +124,12 @@ func (c *checked) Tick(now, dt float64, deviceOn bool) {
 	}
 }
 
-// Interface-preserving wrapper variants.
-type checkedLeveler struct {
-	*checked
-	lev buffer.Leveler
-}
-
-func (c *checkedLeveler) Level() int                         { return c.lev.Level() }
-func (c *checkedLeveler) MaxLevel() int                      { return c.lev.MaxLevel() }
-func (c *checkedLeveler) GuaranteedEnergy(level int) float64 { return c.lev.GuaranteedEnergy(level) }
-
-type checkedHinter struct {
-	*checked
-	hint buffer.EnableHinter
-}
-
-func (c *checkedHinter) EnableVoltage() float64 { return c.hint.EnableVoltage() }
-
-type checkedLevelerHinter struct {
-	*checkedLeveler
-	hint buffer.EnableHinter
-}
-
-func (c *checkedLevelerHinter) EnableVoltage() float64 { return c.hint.EnableVoltage() }
-
 // Check wraps b in a pass-through auditor enforcing the per-tick
 // invariants: non-negative harvest, draws within request, rail voltage in
 // [0, vmax] after each tick, monotonic simulated time, and ledger-vs-stored
-// energy conservation. vmax <= 0 selects VMaxBound. The wrapper preserves
-// b's Leveler and EnableHinter interfaces, so simulations behave
-// identically through it.
+// energy conservation. vmax <= 0 selects VMaxBound. Results through the
+// wrapper are identical to results without it; the run only never
+// fast-forwards, so every tick is audited.
 func Check(b buffer.Buffer, vmax float64) (buffer.Buffer, *Recorder) {
 	if vmax <= 0 {
 		vmax = VMaxBound
@@ -161,19 +140,7 @@ func Check(b buffer.Buffer, vmax float64) (buffer.Buffer, *Recorder) {
 		base:       b.Stored(),
 		baseLedger: *b.Ledger(),
 	}
-	c := &checked{rec: rec}
-	lev, isLev := b.(buffer.Leveler)
-	hint, isHint := b.(buffer.EnableHinter)
-	switch {
-	case isLev && isHint:
-		return &checkedLevelerHinter{&checkedLeveler{c, lev}, hint}, rec
-	case isLev:
-		return &checkedLeveler{c, lev}, rec
-	case isHint:
-		return &checkedHinter{c, hint}, rec
-	default:
-		return c, rec
-	}
+	return &checked{rec: rec}, rec
 }
 
 // PreCharge deposits energy joules into b and clears its ledger, so the

@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ type leakyFake struct {
 	ledger buffer.Ledger
 }
 
-func (f *leakyFake) Name() string { return "leaky-fake" }
+func (f *leakyFake) Traits() buffer.Traits { return buffer.Traits{Name: "leaky-fake"} }
 func (f *leakyFake) Harvest(dE float64) {
 	f.stored += 2 * dE // creates energy out of thin air
 	f.ledger.Harvested += dE
@@ -31,7 +32,8 @@ func (f *leakyFake) Stored() float64                     { return f.stored }
 func (f *leakyFake) Capacitance() float64                { return 1e-3 }
 func (f *leakyFake) Tick(now, dt float64, deviceOn bool) {}
 func (f *leakyFake) Ledger() *buffer.Ledger              { return &f.ledger }
-func (f *leakyFake) SoftwareOverheadFraction() float64   { return 0 }
+func (f *leakyFake) Level() int                          { return 0 }
+func (f *leakyFake) QuiescentOff() bool                  { return false }
 
 func TestCheckCatchesNonConservingBuffer(t *testing.T) {
 	b, rec := Check(&leakyFake{}, 0)
@@ -58,15 +60,23 @@ func TestCheckCatchesTimeTravel(t *testing.T) {
 	}
 }
 
-func TestCheckPassesHonestBufferAndPreservesLeveler(t *testing.T) {
-	b, rec := Check(core.New(core.DefaultConfig()), 0)
-	if _, ok := b.(buffer.Leveler); !ok {
-		t.Fatal("wrapping REACT must preserve its Leveler interface")
+func TestCheckPassesHonestBufferAndPreservesLevels(t *testing.T) {
+	inner := core.New(core.DefaultConfig())
+	b, rec := Check(inner, 0)
+	if got, want := b.Traits(), inner.Traits(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("wrapping REACT changed its traits: %+v, want %+v", got, want)
 	}
 	for i := 0; i < 5000; i++ {
 		b.Harvest(4e-3 * 1e-3)
 		b.Draw(1e-3 * 1e-3)
 		b.Tick(float64(i)*1e-3, 1e-3, true)
+	}
+	if b.Level() != inner.Level() || b.Level() == 0 {
+		t.Errorf("wrapped level %d, REACT's %d: the wrapper must pass a climbing level through", b.Level(), inner.Level())
+	}
+	empty := buffer.NewStatic(buffer.StaticConfig{C: 1e-3, VMax: 3.6})
+	if wrapped, _ := Check(empty, 0); !empty.QuiescentOff() || wrapped.QuiescentOff() {
+		t.Error("an audited buffer must never admit a fast-forward, even when the buffer it wraps is quiescent")
 	}
 	if err := rec.Err(); err != nil {
 		t.Errorf("honest buffer flagged: %v", err)

@@ -48,11 +48,14 @@ func (t *Trace) At(ts float64) float64 {
 		return 0
 	}
 	pos := ts / t.DT
+	// Past the last sample the harvester delivers nothing. The test comes
+	// before the int conversion: a tiny DT makes pos too large for an int,
+	// and the conversion would wrap to a negative index.
+	if !(pos < float64(len(t.Power))) {
+		return 0
+	}
 	i := int(pos)
-	if i >= len(t.Power)-1 {
-		if i >= len(t.Power) {
-			return 0
-		}
+	if i == len(t.Power)-1 {
 		return t.Power[i]
 	}
 	frac := pos - float64(i)
@@ -246,6 +249,9 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	tr.DT = times[1] - times[0]
 	if tr.DT <= 0 {
 		return nil, errors.New("trace: non-increasing timestamps")
+	}
+	if math.IsInf(tr.Duration(), 0) {
+		return nil, errors.New("trace: the timestamps span an infinite duration")
 	}
 	// The contract is uniform spacing, and the simulation trusts it: a
 	// jittered or gapped recording replayed on a DT grid would silently

@@ -319,3 +319,41 @@ func TestSampleIndexing(t *testing.T) {
 		t.Errorf("Sample(1)=%g, At(0.5)=%g", tr.Sample(1), tr.At(0.5))
 	}
 }
+
+// TestAtTinySpacing pins the past-the-end guard for a recording whose
+// sample spacing is tiny. A millisecond read is then ~1e297 samples in;
+// converting that position to an int wrapped to a negative index and
+// panicked. Every read past the last sample is 0, and reads inside the
+// recording are unchanged.
+func TestAtTinySpacing(t *testing.T) {
+	csv := "time_s,power_w\n0,1000\n1e-300,1000\n2e-300,1000\n"
+	tr, err := ReadCSV("tiny", strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []float64{1e-3, 1, 1e300, math.MaxFloat64, math.Inf(1)} {
+		if got := tr.At(ts); got != 0 {
+			t.Errorf("At(%g) = %g, want 0 past the end", ts, got)
+		}
+	}
+	for _, ts := range []float64{0, 1e-300, 2e-300} {
+		if got := tr.At(ts); got != 1000 {
+			t.Errorf("At(%g) = %g, want the recorded 1000 W", ts, got)
+		}
+	}
+}
+
+// TestReadCSVRejectsUnboundedDuration: finite timestamps can still span
+// more than a float64 holds (−1e308 to 1e308), or imply a spacing that
+// overflows. Such a trace has no finite duration to simulate and must be
+// rejected.
+func TestReadCSVRejectsUnboundedDuration(t *testing.T) {
+	for _, c := range []string{
+		"time_s,power_w\n-1e308,1\n0,1\n1e308,1\n",
+		"time_s,power_w\n-1.7e308,1\n1.7e308,1\n",
+	} {
+		if tr, err := ReadCSV("huge", strings.NewReader(c)); err == nil {
+			t.Errorf("%q parsed with DT %g and duration %g; want an error", c, tr.DT, tr.Duration())
+		}
+	}
+}

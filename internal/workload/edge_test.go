@@ -47,7 +47,7 @@ func TestPFZeroInterarrivalCompletes(t *testing.T) {
 }
 
 // TestRTOnStaticBufferNeverDeadlocks checks §3.4.1's flip side: without a
-// Leveler the RT workload transmits blindly — it must keep attempting
+// level ladder the RT workload transmits blindly — it must keep attempting
 // (and mostly failing) rather than waiting forever for a guarantee no
 // static buffer can give, and the simulation must still terminate.
 func TestRTOnStaticBufferNeverDeadlocks(t *testing.T) {

@@ -9,10 +9,10 @@
 //   - PF (Packet Forwarding): receive unpredictable packets and retransmit
 //     them — demands both reactivity and persistence.
 //
-// RT and PF use the buffer's capacitance-level interface when available
-// (REACT, Morphy) to implement the §3.4.1 software-directed longevity
-// guarantee: sleep until the level implies enough stored energy for the
-// atomic operation, instead of attempting doomed transmissions.
+// RT and PF use the buffer's level guarantee table when it has one (REACT,
+// Morphy, Capybara, Dewdrop) to implement the §3.4.1 software-directed
+// longevity guarantee: sleep until the level implies enough stored energy
+// for the atomic operation, instead of attempting doomed transmissions.
 package workload
 
 import (
@@ -33,21 +33,21 @@ import (
 const LongevityMargin = 1.4
 
 // readyForAtomic decides whether software should start an atomic operation
-// costing `need` joules. On buffers exposing capacitance levels (REACT,
-// Morphy) it implements the §3.4.1 longevity guarantee: the level must have
-// reached the one whose guarantee covers the cost, and the coarse energy
-// estimate from the present level and voltage must still cover it (a level
-// reached earlier can be stale after a previous operation drained the
-// buffer). Static buffers have no such interface — they attempt the
-// operation blindly, which is exactly how the paper's baselines waste
-// energy on doomed transmissions.
+// costing `need` joules. On buffers with a level ladder (REACT, Morphy,
+// Capybara, Dewdrop) it implements the §3.4.1 longevity guarantee: the
+// level must have reached the one whose guarantee covers the cost, and the
+// coarse energy estimate from the present level and voltage must still
+// cover it (a level reached earlier can be stale after a previous
+// operation drained the buffer). Static buffers have no ladder — they
+// attempt the operation blindly, which is exactly how the paper's
+// baselines waste energy on doomed transmissions.
 func readyForAtomic(env *mcu.Env, need float64) bool {
-	if env.Levels == nil {
+	if env.Guarantee == nil {
 		return true
 	}
 	need *= LongevityMargin
-	lvl, ok := buffer.LevelFor(env.Levels, need)
-	if ok && env.Levels.Level() < lvl {
+	lvl, ok := buffer.LevelFor(env.Guarantee, need)
+	if ok && env.Level < lvl {
 		return false
 	}
 	return env.UsableEnergy() >= need
@@ -410,7 +410,7 @@ func (w *PacketForward) Step(env *mcu.Env, dt float64) float64 {
 			w.missed++
 			continue
 		}
-		if env.Levels != nil && env.UsableEnergy() < w.Radio.RX.Energy(env.Voltage)*LongevityMargin {
+		if env.Guarantee != nil && env.UsableEnergy() < w.Radio.RX.Energy(env.Voltage)*LongevityMargin {
 			w.missed++
 			continue
 		}

@@ -114,31 +114,25 @@ func TestSenseComputeInterruptedBurstFails(t *testing.T) {
 
 func TestRadioTransmitBlindWithoutLevels(t *testing.T) {
 	w := NewRadioTransmit(4e-6)
-	e := env(3.3, 770e-6) // no Levels: static buffer semantics
+	e := env(3.3, 770e-6) // no guarantee table: static buffer semantics
 	if got := w.Step(e, 1e-3); got != w.Radio.TX.Current {
 		t.Errorf("static buffer should transmit blindly, current %g", got)
 	}
 }
 
-// fakeLeveler grants a fixed guarantee ladder for gating tests.
-type fakeLeveler struct{ level int }
-
-func (f *fakeLeveler) Level() int    { return f.level }
-func (f *fakeLeveler) MaxLevel() int { return 10 }
-func (f *fakeLeveler) GuaranteedEnergy(level int) float64 {
-	return float64(level) * 2e-3 // 2 mJ per level
-}
+// ladder is a fixed guarantee table for gating tests: levels 0..10 at
+// 2 mJ per level.
+var ladder = []float64{0, 2e-3, 4e-3, 6e-3, 8e-3, 10e-3, 12e-3, 14e-3, 16e-3, 18e-3, 20e-3}
 
 func TestRadioTransmitWaitsForLevel(t *testing.T) {
 	w := NewRadioTransmit(4e-6)
-	lv := &fakeLeveler{level: 0}
 	e := env(3.3, 770e-6)
-	e.Levels = lv
+	e.Guarantee = ladder
 	if got := w.Step(e, 1e-3); got != w.SleepI {
 		t.Errorf("should sleep awaiting the level guarantee, current %g", got)
 	}
 	// Level satisfied and the instantaneous estimate covers the cost.
-	lv.level = 10
+	e.Level = 10
 	e.Capacitance = 10e-3
 	if got := w.Step(e, 1e-3); got != w.Radio.TX.Current {
 		t.Errorf("should transmit once guaranteed, current %g", got)
@@ -147,9 +141,8 @@ func TestRadioTransmitWaitsForLevel(t *testing.T) {
 
 func TestRadioTransmitStaleLevelBlocksTransmit(t *testing.T) {
 	w := NewRadioTransmit(4e-6)
-	lv := &fakeLeveler{level: 10}
 	e := env(2.0, 770e-6) // level high but rail nearly drained
-	e.Levels = lv
+	e.Guarantee, e.Level = ladder, 10
 	if got := w.Step(e, 1e-3); got != w.SleepI {
 		t.Errorf("stale level must not trigger a doomed transmission, current %g", got)
 	}
@@ -223,9 +216,8 @@ func TestPacketForwardRxPreemptsTxWait(t *testing.T) {
 	// reaches, but must still receive the second packet (§5.4.1 fungible
 	// energy: receive preempts the transmit reservation).
 	w := pfWith([]radio.Packet{{Arrival: 0.01}, {Arrival: 1.0}})
-	lv := &fakeLeveler{level: 0} // transmit guarantee never satisfied
 	e := env(3.3, 10e-3)
-	e.Levels = lv
+	e.Guarantee = ladder // at level 0 the transmit guarantee is never satisfied
 	dt := 1e-3
 	for i := 0; i <= 2000; i++ {
 		e.Now = float64(i) * dt
@@ -330,7 +322,7 @@ func TestSenseComputeSaturatedClockRestartsSchedule(t *testing.T) {
 
 func TestMLInferenceProgressAndCheckpointing(t *testing.T) {
 	w := NewMLInference(4e-6)
-	e := env(3.3, 17e-3) // no Leveler: segments start whenever stepped
+	e := env(3.3, 17e-3) // no level ladder: segments start whenever stepped
 	dt := 1e-3
 	// One segment is SegTime of compute plus CkptTime of write; run long
 	// enough for several full inferences.
@@ -378,14 +370,13 @@ func TestMLInferencePowerLossLosesOnlyInFlightSegment(t *testing.T) {
 }
 
 func TestMLInferenceWaitsForLongevityGuarantee(t *testing.T) {
-	lv := &fakeLeveler{level: 0}
 	e := env(3.3, 770e-6)
-	e.Levels = lv
+	e.Guarantee = ladder
 	w := NewMLInference(4e-6)
 	if i := w.Step(e, 1e-3); i != w.SleepI {
 		t.Errorf("below the guaranteed level the workload must sleep, drew %g", i)
 	}
-	lv.level = 10
+	e.Level = 10
 	e.Capacitance = 17e-3
 	if i := w.Step(e, 1e-3); i != w.InferI {
 		t.Errorf("at a guaranteed level the segment must start, drew %g", i)

@@ -59,9 +59,9 @@ import (
 type (
 	// Buffer is the common interface over every energy-buffer design.
 	Buffer = buffer.Buffer
-	// Leveler is the capacitance-level interface adaptive buffers expose
-	// for software-directed longevity guarantees.
-	Leveler = buffer.Leveler
+	// Traits are a buffer's construction-time facts, including the
+	// level→energy table behind software-directed longevity guarantees.
+	Traits = buffer.Traits
 	// Ledger is the energy accounting every buffer maintains.
 	Ledger = buffer.Ledger
 	// StaticConfig describes a fixed-size buffer capacitor.
@@ -160,9 +160,11 @@ func DefaultCapybaraConfig() CapybaraConfig { return capybara.DefaultConfig() }
 // NewTimekeeper returns a remanence outage clock with a multi-minute range.
 func NewTimekeeper() *Timekeeper { return timekeeper.DefaultClock() }
 
-// LevelFor returns the smallest capacitance level whose guarantee covers
-// the requested energy.
-func LevelFor(l Leveler, energy float64) (int, bool) { return buffer.LevelFor(l, energy) }
+// LevelFor returns the smallest capacitance level whose guarantee (from
+// Traits().Guarantee) covers the requested energy.
+func LevelFor(guarantee []float64, energy float64) (int, bool) {
+	return buffer.LevelFor(guarantee, energy)
+}
 
 // VoltageAfterReclaim computes the paper's Equation 1: the rail voltage
 // after a parallel→series charge reclamation.

@@ -49,10 +49,10 @@ func TestAllBuffersThroughFacade(t *testing.T) {
 			Device:   react.NewDevice(prof, react.NewSenseCompute(prof.SleepI)),
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", buf.Name(), err)
+			t.Fatalf("%s: %v", buf.Traits().Name, err)
 		}
 		if res.Duration <= 0 {
-			t.Errorf("%s: no simulated time", buf.Name())
+			t.Errorf("%s: no simulated time", buf.Traits().Name)
 		}
 	}
 }
@@ -72,7 +72,7 @@ func TestEquationHelpers(t *testing.T) {
 
 func TestLevelForThroughFacade(t *testing.T) {
 	buf := react.NewREACT(react.DefaultConfig())
-	lvl, ok := react.LevelFor(buf, 5e-3)
+	lvl, ok := react.LevelFor(buf.Traits().Guarantee, 5e-3)
 	if !ok || lvl == 0 {
 		t.Errorf("LevelFor(5 mJ) = %d,%v", lvl, ok)
 	}
@@ -127,7 +127,7 @@ func TestBankStateConstants(t *testing.T) {
 // inspection surface.
 func TestREACTBufferIntrospection(t *testing.T) {
 	buf := react.NewREACT(react.DefaultConfig())
-	if got := buf.MaxLevel(); got != 10 {
+	if got := len(buf.Traits().Guarantee) - 1; got != 10 {
 		t.Errorf("max level %d, want 10 (5 banks × 2 steps)", got)
 	}
 	if len(buf.Banks()) != 5 {
