@@ -4,7 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+
+	"react/internal/sim"
 )
 
 // digest hashes the %+v rendering of v. Floats render at their shortest
@@ -13,6 +17,30 @@ import (
 func digest(v any) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", v)))
 	return hex.EncodeToString(sum[:])
+}
+
+// resultFields renders every sim.Result field except Samples as
+// "Name:value " pairs, so a pin keyed on it names each value it holds and
+// does not move when a field that is not rendered comes or goes.
+func resultFields(r sim.Result) string {
+	var b strings.Builder
+	v := reflect.ValueOf(r)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Samples" {
+			fmt.Fprintf(&b, "%s:%+v ", name, v.Field(i).Interface())
+		}
+	}
+	return b.String()
+}
+
+// figure1Digest hashes Figure 1 field by field: each run's label, its
+// result through resultFields, and its series.
+func figure1Digest(runs []Figure1Run) string {
+	h := sha256.New()
+	for _, r := range runs {
+		fmt.Fprintf(h, "Label:%s %sSamples:%+v\n", r.Label, resultFields(r.Result), r.Samples)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestFigurePins pins the Figure 1, Figure 6, §2.1 background and §5.1
@@ -37,7 +65,13 @@ func TestFigurePins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, r := range fig1 {
+		if !reflect.DeepEqual(r.Result.Samples, r.Samples) {
+			t.Errorf("Figure 1 %s: Result.Samples differs from the run's series", r.Label)
+		}
+	}
 	for _, c := range []struct{ name, got, want string }{
+		{"Figure1 fields", figure1Digest(fig1), "248728e640d76c81e3406b166e3316d6f314cd75eaba3a1f589299386b662be6"},
 		{"Figure1", digest(fig1), "bc8d3ee5af54212bee9171a356f44872e2c8338dce43e7f138b7651c2d520720"},
 		{"Figure6", digest(fig6), "f53e9bda7ebb20485830ad317d6ba8244feed2e56a65afc36884b1026e0a3ca8"},
 		{"Background", fmt.Sprintf("%+v", bg), "{LatencySmall:18.832 LatencyLarge:573.154 " +

@@ -286,3 +286,47 @@ func TestValidateRejectsLabelShadowingPreset(t *testing.T) {
 		t.Errorf("label shadowing a preset must fail validation, got %v", err)
 	}
 }
+
+// TestFingerprintCellPinned pins three cell addresses literally: a paper
+// cell, a checkpoint-scheme cell, and an inline spec over a Loaded trace.
+// The addresses are the disk tier's keys, so any change to the canonical
+// encoding — an added, renamed or re-ordered field — that moves them
+// orphans every stored cell. An omitempty field that is always zero leaves
+// them where they are.
+func TestFingerprintCellPinned(t *testing.T) {
+	paper, ok := scenario.Lookup("paper-de-rf-cart")
+	if !ok {
+		t.Fatal("paper-de-rf-cart is not registered")
+	}
+	odab, ok := scenario.Lookup("ckpt-odab-de")
+	if !ok {
+		t.Fatal("ckpt-odab-de is not registered")
+	}
+	loaded := &scenario.Spec{
+		Name:     "pinned-loaded",
+		Trace:    scenario.TraceSpec{Loaded: &trace.Trace{Name: "pinned", DT: 1e-3, Power: []float64{0, 1e-3, 2.5e-3, 0}}},
+		Workload: scenario.WorkloadSpec{Bench: "SC"},
+		Buffers:  scenario.Presets("770 µF", "REACT"),
+	}
+	if b := paper.Buffers[len(paper.Buffers)-1].DisplayName(); b != "REACT" {
+		t.Fatalf("paper-de-rf-cart's last buffer is %q, want REACT", b)
+	}
+	for _, c := range []struct {
+		name string
+		spec *scenario.Spec
+		cell int
+		want string
+	}{
+		{"paper REACT", paper, len(paper.Buffers) - 1, "sha256:75da29a8f6ae2b28c59db73571dcf5a3d042505215560721ab7a084229525f5b"},
+		{"odab first", odab, 0, "sha256:1fdf32c2cc4825aebba53a90e5f989d805243bb2f8236fc70b14ac1dd10babee"},
+		{"loaded REACT", loaded, 1, "sha256:72b1f1352b6fa99284a2537eb559df50a0fc4efe002b064af0e6e7cd80cd6c63"},
+	} {
+		got, err := c.spec.FingerprintCell(c.cell, scenario.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: FingerprintCell = %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -10,6 +10,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"react/internal/buffer"
@@ -193,6 +195,24 @@ func TestGoldenScenarios(t *testing.T) {
 // intentional physics change.
 const paperGridDigest = "12358b7307e2c91ceb549a97ddf5891de8da7f7785ed7ac16ab8e9159346c098"
 
+// paperGridFieldDigest is the sha256 of the same 100 cells, each rendered
+// through resultFields and ended by a newline.
+const paperGridFieldDigest = "f8f9b2ca350bcf2052f17fc9815dfe8ace6f0b377d8df9da80fcf03850a56f8d"
+
+// resultFields renders every sim.Result field except Samples as
+// "Name:value " pairs, so a pin keyed on it names each value it holds and
+// does not move when a field that is not rendered comes or goes.
+func resultFields(r sim.Result) string {
+	var b strings.Builder
+	v := reflect.ValueOf(r)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Samples" {
+			fmt.Fprintf(&b, "%s:%+v ", name, v.Field(i).Interface())
+		}
+	}
+	return b.String()
+}
+
 // TestGoldenPaperGrid runs the full paper evaluation through the
 // registry-consuming grid path, diffs every cell against the paper
 // scenarios' golden files, pins the whole grid bit for bit by digest, and
@@ -209,7 +229,7 @@ func TestGoldenPaperGrid(t *testing.T) {
 	}
 
 	// Cell-level goldens, one file per paper scenario (bench × trace).
-	h := sha256.New()
+	h, hf := sha256.New(), sha256.New()
 	for _, bench := range experiments.BenchmarkNames {
 		for _, tr := range g.Traces {
 			name := scenario.PaperName(bench, tr.Name)
@@ -217,6 +237,10 @@ func TestGoldenPaperGrid(t *testing.T) {
 			for _, buf := range experiments.BufferNames {
 				res := g.At(bench, tr.Name, buf)
 				fmt.Fprintf(h, "%+v\n", res)
+				fmt.Fprintf(hf, "%s\n", resultFields(res))
+				if res.Samples != nil {
+					t.Errorf("%s/%s: grid cell carries a recorded series", name, buf)
+				}
 				got.Buffers[buf] = toGolden(res)
 				simtest.CheckBalance(t, name+"/"+buf, res, 1e-6)
 			}
@@ -232,6 +256,9 @@ func TestGoldenPaperGrid(t *testing.T) {
 	}
 	if sum := hex.EncodeToString(h.Sum(nil)); !*update && sum != paperGridDigest {
 		t.Errorf("paper grid digest = %s, want %s", sum, paperGridDigest)
+	}
+	if sum := hex.EncodeToString(hf.Sum(nil)); !*update && sum != paperGridFieldDigest {
+		t.Errorf("paper grid field digest = %s, want %s", sum, paperGridFieldDigest)
 	}
 
 	// Headline check against the benchmark history file at the repo root.

@@ -8,6 +8,7 @@ package sim_test
 // a failure.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -99,6 +100,86 @@ func TestBatchOfOneMatchesReference(t *testing.T) {
 						seed, dt, bufName, bench, st.TicksSimulated, st.TicksFastForwarded, total)
 				}
 			}
+		}
+	}
+}
+
+// recorder is a sim.Probe that captures every callback but FastForward as
+// one stream of rendered events. FastForward is left out because only the
+// batched executor parks; everything else both executors must report
+// identically. Floats render at shortest round-trip precision, so equal
+// streams mean bit-identical arguments.
+type recorder struct {
+	stream []string
+}
+
+func (r *recorder) add(ev ...any) { r.stream = append(r.stream, fmt.Sprint(ev...)) }
+
+func (r *recorder) DeviceState(cell int, t float64, from, to mcu.State) {
+	r.add("state ", cell, " ", t, " ", from, " ", to)
+}
+
+func (r *recorder) Checkpoint(cell int, t float64, backups, restores int) {
+	r.add("ckpt ", cell, " ", t, " ", backups, " ", restores)
+}
+
+func (r *recorder) BufferReconfig(cell int, t float64, c float64) {
+	r.add("reconfig ", cell, " ", t, " ", c)
+}
+
+func (r *recorder) FastForward(int, float64, float64) {}
+
+func (r *recorder) Retire(cell int, t float64) { r.add("retire ", cell, " ", t) }
+
+// TestProbeStreamMatchesReference holds the two executors' probe streams
+// to each other: on randomized traces like TestBatchOfOneMatchesReference's,
+// stretched to 6 s so most cells boot, reconfigure and brown out, a batch
+// of one must report the same events, in the same order, with the same
+// arguments, as the reference loop. Every other cell carries a checkpoint
+// scheme, so Checkpoint events are in the streams too.
+func TestProbeStreamMatchesReference(t *testing.T) {
+	buffers := []string{"770 µF", "10 mF", "17 mF", "Morphy", "REACT", "Capybara", "Dewdrop"}
+	benches := []string{"DE", "SC", "RT", "PF"}
+	schemes := []string{"odab", "periodic"}
+	kinds := map[string]bool{}
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		tr := synthTrace(r, 6000)
+		for _, dt := range []float64{1e-3, 0.75e-3} {
+			for i, bufName := range buffers {
+				bench := benches[i%len(benches)]
+				recordDT := 0.0
+				if i%2 == 0 {
+					recordDT = 0.5
+				}
+				cell := func(rec *recorder) sim.Config {
+					cfg := presetCell(t, tr, bufName, bench, dt, seed, recordDT)
+					if i%2 == 1 {
+						cfg = schemeCell(t, tr, bufName, bench, schemes[i/2%2], dt, seed)
+					}
+					cfg.Probe, cfg.ProbeCell = rec, i
+					return cfg
+				}
+				var want, got recorder
+				if _, err := sim.RunReference(cell(&want)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sim.RunBatch([]sim.Config{cell(&got)}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.stream, want.stream) {
+					t.Errorf("seed %d dt %g %s/%s: probe streams differ\n got %q\nwant %q",
+						seed, dt, bufName, bench, got.stream, want.stream)
+				}
+				for _, ev := range want.stream {
+					kinds[strings.Fields(ev)[0]] = true
+				}
+			}
+		}
+	}
+	for _, k := range []string{"state", "ckpt", "reconfig", "retire"} {
+		if !kinds[k] {
+			t.Errorf("no cell reported a %q event; the traces no longer exercise it", k)
 		}
 	}
 }

@@ -70,3 +70,31 @@ func TestZeroHarvestPreChargedRunIsConserved(t *testing.T) {
 	}
 	simtest.CheckBalance(t, "pre-charged dark run", res, 1e-6)
 }
+
+// TestNilProbeRunAllocsFlat pins the nil-probe executor path allocation
+// free per tick: sim.Run allocates for setup and the result only, so its
+// allocation count must not grow when the trace doubles in length.
+func TestNilProbeRunAllocsFlat(t *testing.T) {
+	allocs := func(bufName string, seconds int) float64 {
+		full := trace.RFCart(1)
+		tr := &trace.Trace{Name: full.Name, DT: full.DT, Power: full.Power[:int(float64(seconds)/full.DT)]}
+		cfgs := []sim.Config{
+			presetCell(t, tr, bufName, "DE", 1e-3, 1, 0),
+			presetCell(t, tr, bufName, "DE", 1e-3, 1, 0),
+		}
+		run := 0
+		return testing.AllocsPerRun(1, func() {
+			if _, err := sim.Run(cfgs[run]); err != nil {
+				t.Fatal(err)
+			}
+			run++
+		})
+	}
+	for _, bufName := range []string{"REACT", "770 µF"} {
+		short, long := allocs(bufName, 20), allocs(bufName, 40)
+		t.Logf("%s/DE: %v allocs over 20 s, %v over 40 s", bufName, short, long)
+		if long != short {
+			t.Errorf("%s/DE: %v allocs over a 20 s trace but %v over 40 s; the nil-probe path allocates per tick", bufName, short, long)
+		}
+	}
+}
