@@ -22,6 +22,7 @@ import (
 
 	"react/internal/experiments"
 	"react/internal/runner"
+	"react/internal/sim"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func main() {
 		}
 		for _, r := range runs {
 			name := filepath.Join(*out, "fig1_"+sanitize(r.Label)+".csv")
-			if err := writeSeries(name, r.Label, r); err != nil {
+			if err := writeSeries(name, r.Label, r.Samples); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("fig1 %-8s latency %7.1f s  on %6.0f s  cycles %4d  -> %s\n",
@@ -66,15 +67,9 @@ func main() {
 		sort.Strings(names)
 		for _, n := range names {
 			file := filepath.Join(*out, "fig6_"+sanitize(n)+".csv")
-			f, err := os.Create(file)
-			if err != nil {
+			if err := writeSeries(file, n, series[n]); err != nil {
 				fatal(err)
 			}
-			if err := experiments.WriteSeriesCSV(f, n, series[n]); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			f.Close()
 			fmt.Printf("fig6 %-8s %5d samples -> %s\n", n, len(series[n]), file)
 		}
 	case "7":
@@ -105,13 +100,13 @@ func main() {
 	}
 }
 
-func writeSeries(name, label string, r experiments.Figure1Run) error {
+func writeSeries(name, label string, samples []sim.Sample) error {
 	f, err := os.Create(name)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return experiments.WriteSeriesCSV(f, label, r.Samples)
+	return experiments.WriteSeriesCSV(f, label, samples)
 }
 
 func sanitize(s string) string {

@@ -286,14 +286,16 @@ func run() int {
 	}
 
 	opt := experiments.Options{Seed: *seed, DT: *dt}
-	if *record != "" {
-		opt.RecordDT = 0.5
-	}
 	var tl *obs.SimTimeline
 	if *timeline != "" {
 		tl = obs.NewSimTimeline(0)
 		tl.Label(0, *bufName+" / "+*bench)
 		opt.Probe = tl
+	}
+	var sampler *obs.Sampler
+	if *record != "" {
+		sampler = obs.NewSampler(0.5, opt.Probe)
+		opt.Probe = sampler
 	}
 	res, err := experiments.RunCell(tr, *bufName, *bench, opt)
 	if err != nil {
@@ -344,11 +346,12 @@ func run() int {
 			return 1
 		}
 		defer f.Close()
-		if err := experiments.WriteSeriesCSV(f, res.Buffer, res.Samples); err != nil {
+		samples := sampler.Series(0)
+		if err := experiments.WriteSeriesCSV(f, res.Buffer, samples); err != nil {
 			fmt.Fprintln(os.Stderr, "reactsim:", err)
 			return 1
 		}
-		fmt.Printf("recorded %d samples to %s\n", len(res.Samples), *record)
+		fmt.Printf("recorded %d samples to %s\n", len(samples), *record)
 	}
 	return 0
 }

@@ -30,23 +30,15 @@ var ExtendedBufferNames = scenario.PresetBuffers
 var BenchmarkNames = scenario.PaperBenchmarks
 
 // Options tunes a run; the zero value uses the evaluation defaults.
-type Options struct {
-	Seed     uint64    // trace/event seed (default 1)
-	DT       float64   // timestep (default 1 ms)
-	RecordDT float64   // voltage recording interval, 0 = off
-	Probe    sim.Probe // optional per-cell event observer (timeline recording)
-}
+type Options = scenario.RunOptions
 
-func (o Options) seed() uint64 {
+// seed resolves the trace/event seed. Every spec here is seedless, so an
+// unset seed means 1, exactly as the scenario layer resolves it.
+func seed(o Options) uint64 {
 	if o.Seed == 0 {
 		return 1
 	}
 	return o.Seed
-}
-
-// scenarioOptions maps run options onto the scenario layer's.
-func (o Options) scenarioOptions() scenario.RunOptions {
-	return scenario.RunOptions{Seed: o.seed(), DT: o.DT, RecordDT: o.RecordDT, Probe: o.Probe}
 }
 
 // RunCell simulates one (trace × buffer × benchmark) cell of the
@@ -59,7 +51,7 @@ func RunCell(tr *trace.Trace, bufName, bench string, opt Options) (sim.Result, e
 		Workload: scenario.WorkloadSpec{Bench: bench},
 		Buffers:  scenario.Presets(bufName),
 	}
-	return sp.Cell(0, opt.scenarioOptions())
+	return sp.Cell(0, opt)
 }
 
 // Grid is the dense evaluation-grid result store (benchmark × trace ×
@@ -80,7 +72,7 @@ func RunGrid(opt Options) (*Grid, error) {
 // (benchmark × trace) group runs its five buffers in lockstep over a
 // single pass of the shared trace (scenario.RunBatch).
 func RunGridOn(ctx context.Context, r *runner.Runner, opt Options) (*Grid, error) {
-	traces := trace.Evaluation(opt.seed())
+	traces := trace.Evaluation(seed(opt))
 	return runner.RunGrid(ctx, r, BenchmarkNames, traces, BufferNames,
 		func(ctx context.Context, bench string, tr *trace.Trace, buffers []string) ([]sim.Result, error) {
 			sp, ok := scenario.Lookup(scenario.PaperName(bench, tr.Name))
@@ -105,7 +97,7 @@ func RunGridOn(ctx context.Context, r *runner.Runner, opt Options) (*Grid, error
 				}
 				items[i] = scenario.BatchItem{Spec: sp, Buffer: idx}
 			}
-			return scenario.RunBatch(items, opt.scenarioOptions(), nil)
+			return scenario.RunBatch(items, opt, nil)
 		})
 }
 

@@ -210,7 +210,7 @@ func TestRunnerGridMatchesSequentialCells(t *testing.T) {
 				Workload: scenario.WorkloadSpec{Bench: bench},
 				Buffers:  scenario.Presets(bufs...),
 			}
-			run, err := sp.Run(ctx, &runner.Runner{Workers: 1}, opt.scenarioOptions())
+			run, err := sp.Run(ctx, &runner.Runner{Workers: 1}, opt)
 			if err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ import (
 
 	"react/internal/buffer"
 	"react/internal/core"
+	"react/internal/obs"
 	"react/internal/scenario"
 	"react/internal/sim"
 	"react/internal/trace"
@@ -33,12 +34,9 @@ func backgroundSpec(tr *trace.Trace, caps ...float64) *scenario.Spec {
 	return sp
 }
 
-// runSpec simulates every buffer of an ad-hoc spec with recording at
-// recordDT.
-func runSpec(sp *scenario.Spec, opt Options, recordDT float64) ([]sim.Result, error) {
-	so := opt.scenarioOptions()
-	so.RecordDT = recordDT
-	run, err := sp.Run(context.Background(), nil, so)
+// runSpec simulates every buffer of an ad-hoc spec.
+func runSpec(sp *scenario.Spec, opt Options) ([]sim.Result, error) {
+	run, err := sp.Run(context.Background(), nil, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -56,14 +54,16 @@ type Figure1Run struct {
 // buffer on the simulated pedestrian solar harvester, with the harvested
 // power series and each buffer's voltage/on-time series.
 func Figure1(opt Options) ([]Figure1Run, error) {
-	sp := backgroundSpec(trace.Fig1Pedestrian(opt.seed()), 1e-3, 300e-3)
-	res, err := runSpec(sp, opt, 1.0)
+	sp := backgroundSpec(trace.Fig1Pedestrian(seed(opt)), 1e-3, 300e-3)
+	sampler := obs.NewSampler(1.0, opt.Probe)
+	opt.Probe = sampler
+	res, err := runSpec(sp, opt)
 	if err != nil {
 		return nil, err
 	}
 	runs := make([]Figure1Run, len(res))
 	for i, r := range res {
-		runs[i] = Figure1Run{Label: sp.Buffers[i].DisplayName(), Result: r, Samples: r.Samples}
+		runs[i] = Figure1Run{Label: sp.Buffers[i].DisplayName(), Result: r, Samples: sampler.Series(i)}
 	}
 	return runs, nil
 }
@@ -90,16 +90,16 @@ type Background struct {
 // RunBackground computes the §2.1 analysis.
 func RunBackground(opt Options) (Background, error) {
 	var bg Background
-	ped := trace.Fig1Pedestrian(opt.seed())
-	night := trace.Night(opt.seed())
+	ped := trace.Fig1Pedestrian(seed(opt))
+	night := trace.Night(seed(opt))
 	bg.EnergyAbove10mW = ped.EnergyFractionAbove(10e-3)
 	bg.TimeBelow3mW = ped.TimeFractionBelow(3e-3)
 
-	day, err := runSpec(backgroundSpec(ped, 1e-3, 300e-3), opt, 0)
+	day, err := runSpec(backgroundSpec(ped, 1e-3, 300e-3), opt)
 	if err != nil {
 		return bg, err
 	}
-	nights, err := runSpec(backgroundSpec(night, 1e-3, 10e-3, 300e-3), opt, 0)
+	nights, err := runSpec(backgroundSpec(night, 1e-3, 10e-3, 300e-3), opt)
 	if err != nil {
 		return bg, err
 	}
@@ -143,22 +143,20 @@ func (bg Background) Table() *Table {
 // statics, Morphy, and REACT.
 func Figure6(opt Options) (map[string][]sim.Sample, error) {
 	buffers := []string{"770 µF", "10 mF", "Morphy", "REACT"}
-	recordDT := opt.RecordDT
-	if recordDT == 0 {
-		recordDT = 0.5
-	}
-	res, err := runSpec(&scenario.Spec{
+	sampler := obs.NewSampler(0.5, opt.Probe)
+	opt.Probe = sampler
+	_, err := runSpec(&scenario.Spec{
 		Name:     "figure-6",
-		Trace:    scenario.TraceSpec{Loaded: trace.RFMobile(opt.seed())},
+		Trace:    scenario.TraceSpec{Loaded: trace.RFMobile(seed(opt))},
 		Workload: scenario.WorkloadSpec{Bench: "SC"},
 		Buffers:  scenario.Presets(buffers...),
-	}, opt, recordDT)
+	}, opt)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]sim.Sample, len(buffers))
 	for i, buf := range buffers {
-		out[buf] = res[i].Samples
+		out[buf] = sampler.Series(i)
 	}
 	return out, nil
 }
@@ -213,7 +211,7 @@ func RunOverhead(opt Options) (Overhead, error) {
 		Trace:    scenario.TraceSpec{Loaded: trace.Steady("steady 10 mW", 10e-3, 300)},
 		Workload: scenario.WorkloadSpec{Bench: "DE"},
 		Buffers:  []scenario.BufferSpec{{Preset: "REACT"}, {Label: "REACT, no poll", New: noPollREACT}},
-	}, opt, 0)
+	}, opt)
 	if err != nil {
 		return Overhead{}, err
 	}

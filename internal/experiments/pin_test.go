@@ -19,16 +19,13 @@ func digest(v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// resultFields renders every sim.Result field except Samples as
-// "Name:value " pairs, so a pin keyed on it names each value it holds and
-// does not move when a field that is not rendered comes or goes.
+// resultFields renders every sim.Result field as "Name:value " pairs, so
+// the digest names each value it pins.
 func resultFields(r sim.Result) string {
 	var b strings.Builder
 	v := reflect.ValueOf(r)
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != "Samples" {
-			fmt.Fprintf(&b, "%s:%+v ", name, v.Field(i).Interface())
-		}
+		fmt.Fprintf(&b, "%s:%+v ", v.Type().Field(i).Name, v.Field(i).Interface())
 	}
 	return b.String()
 }
@@ -65,14 +62,8 @@ func TestFigurePins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range fig1 {
-		if !reflect.DeepEqual(r.Result.Samples, r.Samples) {
-			t.Errorf("Figure 1 %s: Result.Samples differs from the run's series", r.Label)
-		}
-	}
 	for _, c := range []struct{ name, got, want string }{
-		{"Figure1 fields", figure1Digest(fig1), "248728e640d76c81e3406b166e3316d6f314cd75eaba3a1f589299386b662be6"},
-		{"Figure1", digest(fig1), "bc8d3ee5af54212bee9171a356f44872e2c8338dce43e7f138b7651c2d520720"},
+		{"Figure1", figure1Digest(fig1), "248728e640d76c81e3406b166e3316d6f314cd75eaba3a1f589299386b662be6"},
 		{"Figure6", digest(fig6), "f53e9bda7ebb20485830ad317d6ba8244feed2e56a65afc36884b1026e0a3ca8"},
 		{"Background", fmt.Sprintf("%+v", bg), "{LatencySmall:18.832 LatencyLarge:573.154 " +
 			"CycleSmall:4.684374999999988 CycleLarge:542.2196666666667 " +

@@ -53,10 +53,11 @@ const (
 // even when cells were stepped by concurrent workers. The event buffer is
 // bounded: past the cap new events are counted in Dropped and discarded.
 type SimTimeline struct {
-	mu     sync.Mutex
-	events []traceEvent
-	max    int
-	labels map[int]string
+	noProbe // takes no samples
+	mu      sync.Mutex
+	events  []traceEvent
+	max     int
+	labels  map[int]string
 	// openState tracks each cell's current device-state span.
 	openState map[int]openSpan
 	dropped   atomic.Uint64

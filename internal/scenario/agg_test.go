@@ -121,12 +121,9 @@ func TestValidateRejectsNonFiniteTiming(t *testing.T) {
 
 func TestRunOptionsValidate(t *testing.T) {
 	for label, opt := range map[string]scenario.RunOptions{
-		"NaN dt":             {DT: math.NaN()},
-		"Inf dt":             {DT: math.Inf(1)},
-		"negative dt":        {DT: -1e-3},
-		"NaN record dt":      {RecordDT: math.NaN()},
-		"-Inf record dt":     {RecordDT: math.Inf(-1)},
-		"negative record dt": {RecordDT: -0.5},
+		"NaN dt":      {DT: math.NaN()},
+		"Inf dt":      {DT: math.Inf(1)},
+		"negative dt": {DT: -1e-3},
 	} {
 		if err := opt.Validate(); err == nil {
 			t.Errorf("%s: Validate must reject it", label)
@@ -137,7 +134,7 @@ func TestRunOptionsValidate(t *testing.T) {
 			t.Errorf("%s: Cell must reject it", label)
 		}
 	}
-	if err := (scenario.RunOptions{Seed: 5, DT: 2e-3, RecordDT: 0.5}).Validate(); err != nil {
+	if err := (scenario.RunOptions{Seed: 5, DT: 2e-3}).Validate(); err != nil {
 		t.Errorf("well-formed options rejected: %v", err)
 	}
 }

@@ -81,7 +81,7 @@ func RunBatch(items []BatchItem, opt RunOptions, st *sim.Stats) ([]sim.Result, e
 	}
 	cfgs := make([]sim.Config, len(items))
 	for i := range items {
-		if cfgs[i], err = buildCellConfig(items[i], tr, seed, dt, opt.RecordDT, opt.Probe); err != nil {
+		if cfgs[i], err = buildCellConfig(items[i], tr, seed, dt, opt.Probe); err != nil {
 			return nil, err
 		}
 	}
@@ -95,7 +95,7 @@ func RunBatch(items []BatchItem, opt RunOptions, st *sim.Stats) ([]sim.Result, e
 // buildCellConfig materializes one cell of a batch — converter, device
 // profile, workload, buffer, and checkpoint scheme — wired to the shared
 // trace. Errors carry the scenario/buffer context.
-func buildCellConfig(it BatchItem, tr *trace.Trace, seed uint64, dt, recordDT float64, probe sim.Probe) (sim.Config, error) {
+func buildCellConfig(it BatchItem, tr *trace.Trace, seed uint64, dt float64, probe sim.Probe) (sim.Config, error) {
 	s := it.Spec
 	fail := func(err error) (sim.Config, error) {
 		return sim.Config{}, fmt.Errorf("scenario %s: %s: %w", s.Name, s.Buffers[it.Buffer].DisplayName(), err)
@@ -126,7 +126,6 @@ func buildCellConfig(it BatchItem, tr *trace.Trace, seed uint64, dt, recordDT fl
 		Buffer:    buf,
 		Device:    dev,
 		TailCap:   s.TailCap,
-		RecordDT:  recordDT,
 		Probe:     probe,
 		ProbeCell: it.Buffer,
 	}, nil

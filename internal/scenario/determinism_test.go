@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"react/internal/buffer"
+	"react/internal/obs"
 	"react/internal/runner"
 	"react/internal/scenario"
 	"react/internal/sim"
@@ -180,7 +181,8 @@ func TestScenarioInvariants(t *testing.T) {
 					},
 				}
 			}
-			run, err := spec.Run(context.Background(), nil, scenario.RunOptions{RecordDT: 2})
+			sampler := obs.NewSampler(2, nil)
+			run, err := spec.Run(context.Background(), nil, scenario.RunOptions{Probe: sampler})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,9 +202,10 @@ func TestScenarioInvariants(t *testing.T) {
 			for i, res := range run.Results {
 				label := name + "/" + spec.Buffers[i].DisplayName()
 				simtest.CheckBalance(t, label, res, 1e-6)
-				simtest.CheckSamples(t, label, res.Samples, 0)
-				if len(res.Samples) == 0 {
-					t.Errorf("%s: no recorded samples despite RecordDT", label)
+				series := sampler.Series(i)
+				simtest.CheckSamples(t, label, series, 0)
+				if len(series) == 0 {
+					t.Errorf("%s: no samples despite a sampling probe", label)
 				}
 			}
 		})

@@ -59,7 +59,6 @@ type canonicalRun struct {
 	DT        float64        `json:"dt"`
 	TailCap   float64        `json:"tail_cap"`
 	Seed      uint64         `json:"seed"`
-	RecordDT  float64        `json:"record_dt,omitempty"`
 }
 
 // canonicalTrace is the trace selection with a Loaded trace replaced by a
@@ -126,7 +125,6 @@ func (s *Spec) fingerprintBuffers(opt RunOptions, buffers []BufferSpec) (string,
 		DT:        s.DT,
 		TailCap:   s.TailCap,
 		Seed:      opt.seed(s),
-		RecordDT:  opt.RecordDT,
 	}
 	if ck := c.Device.Checkpoint; ck != nil {
 		// Resolve the scheme's defaulted knobs so a defaulted block and its

@@ -91,7 +91,6 @@ func TestFingerprintSeparatesEveryPhysicsField(t *testing.T) {
 		"seed":     func(s *scenario.Spec, _ *scenario.RunOptions) { s.Seed = 2 },
 		"opt seed": func(_ *scenario.Spec, o *scenario.RunOptions) { o.Seed = 4 },
 		"opt dt":   func(_ *scenario.Spec, o *scenario.RunOptions) { o.DT = 4e-3 },
-		"record":   func(_ *scenario.Spec, o *scenario.RunOptions) { o.RecordDT = 0.5 },
 	}
 	for label, mutate := range variants {
 		s, opt := fpSpec(), scenario.RunOptions{}

@@ -187,28 +187,22 @@ func TestGoldenScenarios(t *testing.T) {
 	}
 }
 
-// paperGridDigest is the sha256 of the %+v rendering of all 100 paper-grid
-// cells' sim.Result (ledgers and metric maps included), in bench × trace ×
-// buffer order. Floats render at their shortest round-trip precision and
-// maps in sorted key order, so a match means every cell is bit-identical,
-// which the 1e-9 golden diff alone cannot show. Regenerate it only for an
-// intentional physics change.
-const paperGridDigest = "12358b7307e2c91ceb549a97ddf5891de8da7f7785ed7ac16ab8e9159346c098"
-
-// paperGridFieldDigest is the sha256 of the same 100 cells, each rendered
-// through resultFields and ended by a newline.
+// paperGridFieldDigest is the sha256 of all 100 paper-grid cells'
+// sim.Result (ledgers and metric maps included), in bench × trace × buffer
+// order, each rendered through resultFields and ended by a newline.
+// Floats render at their shortest round-trip precision and maps in sorted
+// key order, so a match means every cell is bit-identical, which the 1e-9
+// golden diff alone cannot show. Regenerate it only for an intentional
+// physics change.
 const paperGridFieldDigest = "f8f9b2ca350bcf2052f17fc9815dfe8ace6f0b377d8df9da80fcf03850a56f8d"
 
-// resultFields renders every sim.Result field except Samples as
-// "Name:value " pairs, so a pin keyed on it names each value it holds and
-// does not move when a field that is not rendered comes or goes.
+// resultFields renders every sim.Result field as "Name:value " pairs, so
+// the digest names each value it pins.
 func resultFields(r sim.Result) string {
 	var b strings.Builder
 	v := reflect.ValueOf(r)
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != "Samples" {
-			fmt.Fprintf(&b, "%s:%+v ", name, v.Field(i).Interface())
-		}
+		fmt.Fprintf(&b, "%s:%+v ", v.Type().Field(i).Name, v.Field(i).Interface())
 	}
 	return b.String()
 }
@@ -229,18 +223,14 @@ func TestGoldenPaperGrid(t *testing.T) {
 	}
 
 	// Cell-level goldens, one file per paper scenario (bench × trace).
-	h, hf := sha256.New(), sha256.New()
+	h := sha256.New()
 	for _, bench := range experiments.BenchmarkNames {
 		for _, tr := range g.Traces {
 			name := scenario.PaperName(bench, tr.Name)
 			got := goldenFile{Scenario: name, Seed: 1, Buffers: map[string]goldenCell{}}
 			for _, buf := range experiments.BufferNames {
 				res := g.At(bench, tr.Name, buf)
-				fmt.Fprintf(h, "%+v\n", res)
-				fmt.Fprintf(hf, "%s\n", resultFields(res))
-				if res.Samples != nil {
-					t.Errorf("%s/%s: grid cell carries a recorded series", name, buf)
-				}
+				fmt.Fprintf(h, "%s\n", resultFields(res))
 				got.Buffers[buf] = toGolden(res)
 				simtest.CheckBalance(t, name+"/"+buf, res, 1e-6)
 			}
@@ -254,10 +244,7 @@ func TestGoldenPaperGrid(t *testing.T) {
 			}
 		}
 	}
-	if sum := hex.EncodeToString(h.Sum(nil)); !*update && sum != paperGridDigest {
-		t.Errorf("paper grid digest = %s, want %s", sum, paperGridDigest)
-	}
-	if sum := hex.EncodeToString(hf.Sum(nil)); !*update && sum != paperGridFieldDigest {
+	if sum := hex.EncodeToString(h.Sum(nil)); !*update && sum != paperGridFieldDigest {
 		t.Errorf("paper grid field digest = %s, want %s", sum, paperGridFieldDigest)
 	}
 

@@ -20,24 +20,19 @@ type RunOptions struct {
 	Workers int
 	// DT overrides the integration timestep.
 	DT float64
-	// RecordDT, when positive, records voltage/state series.
-	RecordDT float64
-	// Probe, when non-nil, observes every cell's device-level events
-	// (sim.Probe); callbacks carry the cell's global buffer index. Probes
-	// never change results, so the field is outside the fingerprint.
+	// Probe, when non-nil, observes every cell (sim.Probe); callbacks
+	// carry the cell's global buffer index. Probes never change results,
+	// so the field is outside the fingerprint.
 	Probe sim.Probe
 }
 
-// Validate checks the options' timing overrides: DT and RecordDT must be
-// finite and non-negative (zero means "use the spec's default" / "don't
-// record"). The check exists because NaN passes any `< 0` comparison and
-// would otherwise reach sim.Run.
+// Validate checks the options' timestep override: DT must be finite and
+// non-negative (zero means "use the spec's default"). The check exists
+// because NaN passes any `< 0` comparison and would otherwise reach
+// sim.Run.
 func (o RunOptions) Validate() error {
 	if !isFiniteNonNegative(o.DT) {
 		return fmt.Errorf("run options: dt must be finite and non-negative (zero keeps the spec's timestep)")
-	}
-	if !isFiniteNonNegative(o.RecordDT) {
-		return fmt.Errorf("run options: record dt must be finite and non-negative (zero disables recording)")
 	}
 	return nil
 }

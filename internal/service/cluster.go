@@ -35,9 +35,7 @@ import (
 // never availability.
 //
 // Cells that cannot travel stay local: unfingerprintable specs (Go-only
-// constructors), Loaded traces (no JSON encoding), and recorded runs
-// (RecordDT is not expressible in a RunRequest, and sample streams are
-// not part of the wire cell result anyway).
+// constructors) and Loaded traces (no JSON encoding).
 
 // DefaultPeerTimeout bounds each HTTP request to a peer when
 // Config.PeerTimeout is zero.

@@ -184,13 +184,11 @@ type pendingCell struct {
 }
 
 // batchKey groups pending cells that can share one lockstep trace pass:
-// the same trace spec, effective seed and effective timestep (recording
-// cadence rides along because it is uniform per batch call).
+// the same trace spec, effective seed and effective timestep.
 type batchKey struct {
 	trace scenario.TraceSpec
 	seed  uint64
 	dt    float64
-	rec   float64
 }
 
 // maxSweepCells bounds one sweep's fan-out (seeds × dts × buffers).
@@ -564,12 +562,15 @@ func (s *Server) attachCellLocked(spec *scenario.Spec, i int, opt scenario.RunOp
 		// The read happens under s.mu; it is one small file, and the
 		// alternative (optimistic unlock) would race the single-flight
 		// index. A corrupt entry was quarantined by the store and reads
-		// as a miss.
+		// as a miss. The payload is the plain JSON of a sim.Result: Go's
+		// float64 encoding round-trips bit-exactly, so a cell served from
+		// disk is bit-identical to the one simulated.
 		if s.store != nil && s.store.Has(fp) {
 			began := time.Now()
 			if payload, err := s.store.Get(fp); err == nil {
 				s.hDiskGet.Observe(time.Since(began).Seconds())
-				if res, derr := decodeCell(payload); derr == nil {
+				var res sim.Result
+				if json.Unmarshal(payload, &res) == nil {
 					c := &cell{fp: fp, buffer: spec.Buffers[i].DisplayName(), refs: 1, done: make(chan struct{})}
 					c.res = res
 					close(c.done)
@@ -598,21 +599,6 @@ func (s *Server) attachCellLocked(spec *scenario.Spec, i int, opt scenario.RunOp
 	return c, cellFresh
 }
 
-// encodeCell and decodeCell are the disk tier's payload codec: the plain
-// JSON of a sim.Result. Go's float64 encoding is shortest-representation
-// and round-trips bit-exactly, so a grid served from disk is bit-identical
-// to the one simulated (recordings excluded — Samples do not persist).
-func encodeCell(res sim.Result) ([]byte, error) {
-	res.Samples = nil
-	return json.Marshal(res)
-}
-
-func decodeCell(payload []byte) (sim.Result, error) {
-	var res sim.Result
-	err := json.Unmarshal(payload, &res)
-	return res, err
-}
-
 // flushPendingLocked groups the pending fresh cells by batch key and schedules
 // one lockstep batch per group, so a sweep's cells sharing a (trace, seed,
 // dt) address make one pass over the trace however many buffers ride it.
@@ -631,14 +617,13 @@ func (s *Server) flushPendingLocked() {
 			trace: p.spec.Trace,
 			seed:  p.spec.ResolveSeed(p.opt.Seed),
 			dt:    p.spec.ResolveDT(p.opt.DT),
-			rec:   p.opt.RecordDT,
 		}
 		if p.c.fp == "" {
 			// Unfingerprintable cells carry arbitrary Go constructors the
 			// service cannot reason about (side effects, shared state), so
 			// they keep per-cell scheduling: each runs as a batch of one,
 			// finishing — and cancelling — independently.
-			s.startBatch([]pendingCell{p}, scenario.RunOptions{Seed: k.seed, DT: k.dt, RecordDT: k.rec})
+			s.startBatch([]pendingCell{p}, scenario.RunOptions{Seed: k.seed, DT: k.dt})
 			continue
 		}
 		if _, ok := groups[k]; !ok {
@@ -650,7 +635,7 @@ func (s *Server) flushPendingLocked() {
 		// Fully resolved options apply uniformly to every member, whatever
 		// each spec's own defaults were (resolution is deterministic, so
 		// results match per-cell runs bit for bit).
-		opt := scenario.RunOptions{Seed: k.seed, DT: k.dt, RecordDT: k.rec}
+		opt := scenario.RunOptions{Seed: k.seed, DT: k.dt}
 		if s.cluster == nil {
 			s.startBatch(groups[k], opt)
 			continue
@@ -660,9 +645,8 @@ func (s *Server) flushPendingLocked() {
 		var owners []string
 		for _, p := range groups[k] {
 			// Cells that cannot travel stay local: forwarded submissions
-			// (cycle breaking), preloaded traces (no JSON encoding), and
-			// recorded runs (samples are not part of the wire cell result).
-			if p.noFwd || p.spec.Trace.Loaded != nil || k.rec != 0 {
+			// (cycle breaking) and preloaded traces (no JSON encoding).
+			if p.noFwd || p.spec.Trace.Loaded != nil {
 				local = append(local, p)
 				continue
 			}
@@ -780,11 +764,11 @@ const (
 // cells. The sim-duration histogram is observed exactly where simsOK is
 // bumped, so its cumulative count always equals sims_completed.
 func (s *Server) completeCell(c *cell, res sim.Result, err error, origin int, dur time.Duration, cst sim.CellStats) {
-	if err == nil && origin == cellSimulated && c.fp != "" && s.store != nil && res.Samples == nil {
+	if err == nil && origin == cellSimulated && c.fp != "" && s.store != nil {
 		// Write through before publishing, outside s.mu: the disk write
 		// must not stall attachments, and a cell is only servable from
 		// disk after it is servable from memory anyway.
-		if payload, perr := encodeCell(res); perr == nil {
+		if payload, perr := json.Marshal(res); perr == nil {
 			began := time.Now()
 			if s.store.Put(c.fp, payload) == nil {
 				s.diskPuts.Add(1)

@@ -48,46 +48,18 @@ type batchCell struct {
 	// identity marks the pass-through converter, whose Deliver call is
 	// inlined on the hot path (p = max(raw, 0), bit-identical).
 	identity bool
-	recordDT float64
 	tailCap  float64
 	// v is the rail voltage at the start of the tick, carried across ticks
 	// exactly as the reference loop does.
 	v       float64
-	recIdx  int
-	samples []Sample
 	initial float64
 	done    bool
 	result  Result
 	// ticks/ffTicks are this cell's share of the batch tick accounting.
 	ticks   uint64
 	ffTicks uint64
-	// probe, when non-nil, observes this cell's events; the last* fields
-	// are the change detectors behind its callbacks and are only touched
-	// on the probe path.
-	probe        Probe
-	probeCell    int
-	lastState    mcu.State
-	lastCap      float64
-	lastBackups  int
-	lastRestores int
-}
-
-// observe fires the probe callbacks for whatever changed during the tick
-// ending at sim time t. Only called when c.probe is non-nil.
-func (c *batchCell) observe(t float64) {
-	if st := c.dev.State(); st != c.lastState {
-		c.probe.DeviceState(c.probeCell, t, c.lastState, st)
-		c.lastState = st
-	}
-	if bk, rs := c.dev.Backups, c.dev.Restores; bk != c.lastBackups || rs != c.lastRestores {
-		c.probe.Checkpoint(c.probeCell, t, bk-c.lastBackups, rs-c.lastRestores)
-		c.lastBackups, c.lastRestores = bk, rs
-	}
-	//lint:reactlint-ignore dtarith change detection, not a tolerance check: any capacitance difference is a reconfiguration event
-	if cp := c.buf.Capacitance(); cp != c.lastCap {
-		c.probe.BufferReconfig(c.probeCell, t, cp)
-		c.lastCap = cp
-	}
+	// obs binds the cell's probe, if any; untouched on the nil-probe path.
+	obs observer
 }
 
 // batch is the shared state of one lockstep pass over a trace.
@@ -108,13 +80,13 @@ type batch struct {
 // harvests, steps its device, and advances its buffer; cells retire
 // individually as they finish their drain tails. All cells must share one
 // *trace.Trace and one timestep (the lockstep clock); converters, buffers,
-// devices, tail caps and recording cadences are per-cell.
+// devices, tail caps and probes are per-cell.
 //
 // On top of the lockstep loop it fast-forwards dead time: when the trace is
 // delivering exactly zero and every live cell is provably inert (device
 // off, rail below its enable voltage, buffer quiescent), whole tick
 // stretches are no-ops and the clock jumps to the next event — the end of
-// the zero-power span, a recording point, or a cell's drain-phase bound.
+// the zero-power span, a probe's sample point, or a cell's drain-phase bound.
 // Skipped ticks are never near-events: the jump target is computed with the
 // loop's own float arithmetic, so results are bit-identical to running
 // RunReference per cell. st, when non-nil, accumulates the tick accounting.
@@ -157,25 +129,13 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 		c := &b.cells[i]
 		c.buf, c.dev, c.conv = cfg.Buffer, cfg.Device, cfg.Frontend.Conv
 		_, c.identity = c.conv.(harvest.Identity)
-		c.recordDT = cfg.RecordDT
 		c.tailCap = cfg.TailCap
 		if c.tailCap <= 0 {
 			c.tailCap = 600
 		}
-		if c.recordDT > 0 {
-			// Pre-size for the trace plus the bounded drain tail.
-			c.samples = make([]Sample, 0, int((b.traceDur+c.tailCap)/c.recordDT)+2)
-		}
 		c.initial = c.buf.Stored()
 		c.v = c.buf.OutputVoltage()
-		if cfg.Probe != nil {
-			c.probe = cfg.Probe
-			c.probeCell = cfg.ProbeCell
-			c.lastState = c.dev.State()
-			c.lastCap = c.buf.Capacitance()
-			c.lastBackups = c.dev.Backups
-			c.lastRestores = c.dev.Restores
-		}
+		c.obs = newObserver(cfg)
 	}
 
 	live := len(b.cells)
@@ -196,8 +156,8 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 						continue
 					}
 					c.ffTicks += skipped
-					if c.probe != nil {
-						c.probe.FastForward(c.probeCell, t, float64(wake)*dt)
+					if c.obs.probe != nil {
+						c.obs.probe.FastForward(c.obs.cell, t, float64(wake)*dt)
 					}
 				}
 				tick = wake
@@ -221,16 +181,8 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 			c.dev.Step(t, dt, c.buf)
 			c.buf.Tick(t, dt, c.dev.Powered())
 			c.v = c.buf.OutputVoltage()
-			if c.probe != nil {
-				c.observe(t)
-			}
-
-			if c.recordDT > 0 && t >= float64(c.recIdx)*c.recordDT {
-				c.samples = append(c.samples, Sample{
-					T: t, V: c.v, On: c.dev.Powered(),
-					C: c.buf.Capacitance(), P: p,
-				})
-				c.recIdx++
+			if c.obs.probe != nil {
+				c.obs.tick(t, c.v, p, c.dev, c.buf)
 			}
 
 			c.ticks++
@@ -282,10 +234,9 @@ func (c *batchCell) retire(tEnd float64) {
 		Ledger:        *c.buf.Ledger(),
 		Stored:        c.buf.Stored(),
 		InitialStored: c.initial,
-		Samples:       c.samples,
 	}
-	if c.probe != nil {
-		c.probe.Retire(c.probeCell, tEnd)
+	if c.obs.probe != nil {
+		c.obs.probe.Retire(c.obs.cell, tEnd)
 	}
 }
 
@@ -304,7 +255,7 @@ func (c *batchCell) retire(tEnd float64) {
 //
 // Frozen state stays frozen across the span, so one eligibility check
 // covers every skipped tick. The wake tick is the earliest upcoming event:
-// possible nonzero power, a due recording point, or a cell's drain-phase
+// possible nonzero power, a probe's due sample point, or a cell's drain-phase
 // retirement bound — each computed with the main loop's own float
 // arithmetic (undershooting a boundary only costs a few stepped ticks;
 // overshooting would change results, so boundaries are walked exactly).
@@ -330,10 +281,8 @@ func (b *batch) fastForwardFrom(tick int) int {
 		if c.done {
 			continue
 		}
-		if c.recordDT > 0 {
-			if w := tickAtOrAfter(float64(c.recIdx)*c.recordDT, b.dt, tick); w < wake {
-				wake = w
-			}
+		if w := c.obs.wake(b.dt, tick); w < wake {
+			wake = w
 		}
 		// The drain check fires at the end of a tick: the first candidate
 		// is the tick s with float64(s+1)*dt reaching the bound. A parked

@@ -45,7 +45,7 @@ func synthTrace(r *rand.Rand, n int) *trace.Trace {
 // presetCell builds one fresh sim.Config over a shared trace. Every call
 // constructs fresh mutable state (buffer, device, workload), so a
 // reference run and a batched run of the same cell share nothing.
-func presetCell(t *testing.T, tr *trace.Trace, bufName, bench string, dt float64, seed uint64, recordDT float64) sim.Config {
+func presetCell(t *testing.T, tr *trace.Trace, bufName, bench string, dt float64, seed uint64) sim.Config {
 	t.Helper()
 	buf, err := scenario.NewPresetBuffer(bufName)
 	if err != nil {
@@ -61,7 +61,6 @@ func presetCell(t *testing.T, tr *trace.Trace, bufName, bench string, dt float64
 		Buffer:   buf,
 		Device:   mcu.NewDevice(mcu.DefaultProfile(), wl),
 		TailCap:  20,
-		RecordDT: recordDT,
 	}
 }
 
@@ -78,22 +77,29 @@ func TestBatchOfOneMatchesReference(t *testing.T) {
 		for _, dt := range []float64{1e-3, 0.75e-3} {
 			for i, bufName := range buffers {
 				bench := benches[i%len(benches)]
-				recordDT := 0.0
+				// Every other cell samples its series through a probe; the
+				// rest take the nil-probe path.
+				var wantRec, gotRec *recorder
+				ref, cfg := presetCell(t, tr, bufName, bench, dt, seed), presetCell(t, tr, bufName, bench, dt, seed)
 				if i%2 == 0 {
-					recordDT = 0.5
+					wantRec, gotRec = &recorder{dt: 0.5}, &recorder{dt: 0.5}
+					ref.Probe, cfg.Probe = wantRec, gotRec
 				}
-				want, err := sim.RunReference(presetCell(t, tr, bufName, bench, dt, seed, recordDT))
+				want, err := sim.RunReference(ref)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var st sim.Stats
-				got, err := sim.RunBatch([]sim.Config{presetCell(t, tr, bufName, bench, dt, seed, recordDT)}, &st)
+				got, err := sim.RunBatch([]sim.Config{cfg}, &st)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got[0], want) {
 					t.Errorf("seed %d dt %g %s/%s: batch of one diverges from reference\n got %+v\nwant %+v",
 						seed, dt, bufName, bench, got[0], want)
+				}
+				if wantRec != nil && !reflect.DeepEqual(gotRec.series, wantRec.series) {
+					t.Errorf("seed %d dt %g %s/%s: batch of one samples a different series", seed, dt, bufName, bench)
 				}
 				if total := uint64(want.Duration/dt + 0.5); st.TicksSimulated+st.TicksFastForwarded != total {
 					t.Errorf("seed %d dt %g %s/%s: ticks %d simulated + %d fast-forwarded != %d total",
@@ -105,12 +111,15 @@ func TestBatchOfOneMatchesReference(t *testing.T) {
 }
 
 // recorder is a sim.Probe that captures every callback but FastForward as
-// one stream of rendered events. FastForward is left out because only the
+// one stream of rendered events, sampling every dt seconds, and keeps the
+// sampled series apart as well. FastForward is left out because only the
 // batched executor parks; everything else both executors must report
 // identically. Floats render at shortest round-trip precision, so equal
 // streams mean bit-identical arguments.
 type recorder struct {
+	dt     float64
 	stream []string
+	series []sim.Sample
 }
 
 func (r *recorder) add(ev ...any) { r.stream = append(r.stream, fmt.Sprint(ev...)) }
@@ -131,6 +140,13 @@ func (r *recorder) FastForward(int, float64, float64) {}
 
 func (r *recorder) Retire(cell int, t float64) { r.add("retire ", cell, " ", t) }
 
+func (r *recorder) SampleDT() float64 { return r.dt }
+
+func (r *recorder) Sample(cell int, s sim.Sample) {
+	r.add("sample ", cell, " ", s)
+	r.series = append(r.series, s)
+}
+
 // TestProbeStreamMatchesReference holds the two executors' probe streams
 // to each other: on randomized traces like TestBatchOfOneMatchesReference's,
 // stretched to 6 s so most cells boot, reconfigure and brown out, a batch
@@ -148,19 +164,22 @@ func TestProbeStreamMatchesReference(t *testing.T) {
 		for _, dt := range []float64{1e-3, 0.75e-3} {
 			for i, bufName := range buffers {
 				bench := benches[i%len(benches)]
-				recordDT := 0.0
+				// Even cells sample their series; odd ones carry a scheme.
+				sampleDT := 0.0
 				if i%2 == 0 {
-					recordDT = 0.5
+					sampleDT = 0.5
 				}
 				cell := func(rec *recorder) sim.Config {
-					cfg := presetCell(t, tr, bufName, bench, dt, seed, recordDT)
-					if i%2 == 1 {
+					var cfg sim.Config
+					if sampleDT > 0 {
+						cfg = presetCell(t, tr, bufName, bench, dt, seed)
+					} else {
 						cfg = schemeCell(t, tr, bufName, bench, schemes[i/2%2], dt, seed)
 					}
 					cfg.Probe, cfg.ProbeCell = rec, i
 					return cfg
 				}
-				var want, got recorder
+				want, got := recorder{dt: sampleDT}, recorder{dt: sampleDT}
 				if _, err := sim.RunReference(cell(&want)); err != nil {
 					t.Fatal(err)
 				}
@@ -177,7 +196,7 @@ func TestProbeStreamMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"state", "ckpt", "reconfig", "retire"} {
+	for _, k := range []string{"state", "ckpt", "reconfig", "retire", "sample"} {
 		if !kinds[k] {
 			t.Errorf("no cell reported a %q event; the traces no longer exercise it", k)
 		}
@@ -196,7 +215,7 @@ func TestLockstepBatchMatchesReference(t *testing.T) {
 	const seed, dt = 2, 1e-3
 
 	mk := func(i int) sim.Config {
-		return presetCell(t, tr, buffers[i], benches[i%len(benches)], dt, seed, 0)
+		return presetCell(t, tr, buffers[i], benches[i%len(benches)], dt, seed)
 	}
 	want := make([]sim.Result, len(buffers))
 	for i := range buffers {
@@ -253,17 +272,24 @@ func TestFastForwardSkipsDeadTime(t *testing.T) {
 	tr := &trace.Trace{Name: "cold", DT: 1e-3, Power: p}
 	for _, dt := range []float64{1e-3, 0.75e-3} {
 		for _, bufName := range []string{"REACT", "770 µF", "Capybara"} {
-			want, err := sim.RunReference(presetCell(t, tr, bufName, "DE", dt, 1, 0.5))
+			wantRec, gotRec := &recorder{dt: 0.5}, &recorder{dt: 0.5}
+			ref, cfg := presetCell(t, tr, bufName, "DE", dt, 1), presetCell(t, tr, bufName, "DE", dt, 1)
+			ref.Probe, cfg.Probe = wantRec, gotRec
+			want, err := sim.RunReference(ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var st sim.Stats
-			got, err := sim.RunBatch([]sim.Config{presetCell(t, tr, bufName, "DE", dt, 1, 0.5)}, &st)
+			got, err := sim.RunBatch([]sim.Config{cfg}, &st)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got[0], want) {
 				t.Errorf("dt %g %s: fast-forwarded run diverges from reference", dt, bufName)
+			}
+			if len(wantRec.series) == 0 || !reflect.DeepEqual(gotRec.series, wantRec.series) {
+				t.Errorf("dt %g %s: fast-forwarded run samples %d points, reference %d, or they differ",
+					dt, bufName, len(gotRec.series), len(wantRec.series))
 			}
 			if st.TicksFastForwarded == 0 {
 				t.Errorf("dt %g %s: fast-forward never engaged over a 5000-sample dead prefix", dt, bufName)
@@ -280,16 +306,16 @@ func TestFastForwardSkipsDeadTime(t *testing.T) {
 func TestRunBatchValidation(t *testing.T) {
 	tr := &trace.Trace{Name: "t", DT: 1e-3, Power: []float64{1e-3, 1e-3}}
 	tr2 := &trace.Trace{Name: "t2", DT: 1e-3, Power: []float64{1e-3, 1e-3}}
-	a := presetCell(t, tr, "770 µF", "DE", 1e-3, 1, 0)
-	b := presetCell(t, tr, "770 µF", "DE", 2e-3, 1, 0)
+	a := presetCell(t, tr, "770 µF", "DE", 1e-3, 1)
+	b := presetCell(t, tr, "770 µF", "DE", 2e-3, 1)
 	if _, err := sim.RunBatch([]sim.Config{a, b}, nil); err == nil || !strings.Contains(err.Error(), "timestep") {
 		t.Errorf("mixed timesteps: err = %v, want timestep mismatch", err)
 	}
-	c := presetCell(t, tr2, "770 µF", "DE", 1e-3, 1, 0)
+	c := presetCell(t, tr2, "770 µF", "DE", 1e-3, 1)
 	if _, err := sim.RunBatch([]sim.Config{a, c}, nil); err == nil || !strings.Contains(err.Error(), "trace") {
 		t.Errorf("mixed traces: err = %v, want trace mismatch", err)
 	}
-	bad := presetCell(t, tr, "770 µF", "DE", 1e-3, 1, 0)
+	bad := presetCell(t, tr, "770 µF", "DE", 1e-3, 1)
 	bad.Buffer = nil
 	if _, err := sim.RunBatch([]sim.Config{bad}, nil); err == nil {
 		t.Error("nil buffer: expected an error")
@@ -304,7 +330,7 @@ func TestRunBatchValidation(t *testing.T) {
 // checkpoint block.
 func schemeCell(t *testing.T, tr *trace.Trace, bufName, bench, scheme string, dt float64, seed uint64) sim.Config {
 	t.Helper()
-	cfg := presetCell(t, tr, bufName, bench, dt, seed, 0)
+	cfg := presetCell(t, tr, bufName, bench, dt, seed)
 	s, err := ckpt.Build(ckpt.Config{Scheme: scheme})
 	if err != nil {
 		t.Fatal(err)
@@ -357,10 +383,10 @@ func TestSchemeMixedLockstepBatch(t *testing.T) {
 	const seed, dt = 1, 1e-3
 	mk := func() []sim.Config {
 		return []sim.Config{
-			presetCell(t, tr, "770 µF", "DE", dt, seed, 0),
+			presetCell(t, tr, "770 µF", "DE", dt, seed),
 			schemeCell(t, tr, "770 µF", "DE", "odab", dt, seed),
 			schemeCell(t, tr, "REACT", "MIX", "periodic", dt, seed),
-			presetCell(t, tr, "REACT", "MIX", dt, seed, 0),
+			presetCell(t, tr, "REACT", "MIX", dt, seed),
 		}
 	}
 	cfgs := mk()
@@ -470,9 +496,9 @@ func TestRunBatchTinyTraceSpacing(t *testing.T) {
 		tr := &trace.Trace{Name: "tiny", DT: 1e-300, Power: []float64{p, p, p}}
 		cell := func() sim.Config {
 			if c.build == nil {
-				return presetCell(t, tr, c.buf, "DE", 1e-3, 1, 0)
+				return presetCell(t, tr, c.buf, "DE", 1e-3, 1)
 			}
-			cfg := presetCell(t, tr, "770 µF", "DE", 1e-3, 1, 0)
+			cfg := presetCell(t, tr, "770 µF", "DE", 1e-3, 1)
 			cfg.Buffer = c.build()
 			return cfg
 		}

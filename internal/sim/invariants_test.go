@@ -8,6 +8,7 @@ import (
 	"react/internal/core"
 	"react/internal/harvest"
 	"react/internal/mcu"
+	"react/internal/obs"
 	"react/internal/sim"
 	"react/internal/simtest"
 	"react/internal/trace"
@@ -19,11 +20,12 @@ import (
 // voltage, monotonic simulated time, and a physical recorded series.
 func TestRunUpholdsPerTickInvariants(t *testing.T) {
 	buf, rec := simtest.Check(core.New(core.DefaultConfig()), 0)
+	sampler := obs.NewSampler(0.5, nil)
 	res, err := sim.Run(sim.Config{
 		Frontend: harvest.NewFrontend(trace.RFCart(1), nil),
 		Buffer:   buf,
 		Device:   mcu.NewDevice(mcu.DefaultProfile(), workload.NewDataEncryption(0.6e-3)),
-		RecordDT: 0.5,
+		Probe:    sampler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +37,7 @@ func TestRunUpholdsPerTickInvariants(t *testing.T) {
 		t.Fatal("auditor saw no ticks")
 	}
 	simtest.CheckBalance(t, "REACT/DE/RF Cart", res, 1e-6)
-	simtest.CheckSamples(t, "REACT/DE/RF Cart", res.Samples, 0)
+	simtest.CheckSamples(t, "REACT/DE/RF Cart", sampler.Series(0), 0)
 	if res.Metrics["blocks"] == 0 {
 		t.Error("wrapped run did no work — the auditor must be behaviour-preserving")
 	}
@@ -79,8 +81,8 @@ func TestNilProbeRunAllocsFlat(t *testing.T) {
 		full := trace.RFCart(1)
 		tr := &trace.Trace{Name: full.Name, DT: full.DT, Power: full.Power[:int(float64(seconds)/full.DT)]}
 		cfgs := []sim.Config{
-			presetCell(t, tr, bufName, "DE", 1e-3, 1, 0),
-			presetCell(t, tr, bufName, "DE", 1e-3, 1, 0),
+			presetCell(t, tr, bufName, "DE", 1e-3, 1),
+			presetCell(t, tr, bufName, "DE", 1e-3, 1),
 		}
 		run := 0
 		return testing.AllocsPerRun(1, func() {

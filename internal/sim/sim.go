@@ -32,27 +32,14 @@ type Config struct {
 	Device *mcu.Device
 	// TailCap bounds the post-trace drain phase (default 600 s).
 	TailCap float64
-	// RecordDT, when positive, records the rail voltage, device state and
-	// equivalent capacitance every RecordDT seconds (for the figures).
-	RecordDT float64
-	// Probe, when non-nil, observes the run's device-level events (state
-	// transitions, checkpoints, reconfigurations, fast-forward parks) for
-	// timeline recording. Probes never change results; the nil path costs
-	// only a predictable branch per cell-tick.
+	// Probe, when non-nil, observes the run's device-level events and
+	// samples its series (timelines, figures). Probes never change
+	// results; the nil path costs only a predictable branch per cell-tick.
 	Probe Probe
 	// ProbeCell is the cell index reported to Probe callbacks, letting a
 	// caller that splits one logical run across several batches keep
 	// global cell identities. Ignored when Probe is nil.
 	ProbeCell int
-}
-
-// Sample is one recorded point of a run.
-type Sample struct {
-	T  float64 // seconds
-	V  float64 // rail voltage
-	On bool    // device powered
-	C  float64 // equivalent buffer capacitance, farads
-	P  float64 // harvested power being delivered, watts
 }
 
 // Result is the outcome of one run.
@@ -76,8 +63,6 @@ type Result struct {
 	// nonzero for pre-charged buffers, and part of the conservation input
 	// side alongside the harvested energy.
 	InitialStored float64
-	// Samples is the recording, when enabled.
-	Samples []Sample
 }
 
 // OnFraction returns the duty cycle over the trace duration.
@@ -138,40 +123,22 @@ func RunReference(cfg Config) (Result, error) {
 
 	buf, dev, fe := cfg.Buffer, cfg.Device, cfg.Frontend
 	traceDur := fe.Trace.Duration()
-	var samples []Sample
-	if cfg.RecordDT > 0 {
-		// Pre-size for the trace plus the bounded drain tail.
-		samples = make([]Sample, 0, int((traceDur+tailCap)/cfg.RecordDT)+2)
-	}
-	// The record schedule is an integer index, not an accumulated float:
-	// point k is due at k*RecordDT. Accumulating nextRecord += RecordDT
-	// instead drifts over hundred-million-tick runs and occasionally drops
-	// or duplicates points near the schedule boundaries.
-	recIdx := 0
 
 	// When the trace sample spacing equals the timestep, tick i reads
 	// sample i directly instead of interpolating (fast path).
 	aligned := fe.Aligned(dt)
 
 	initialStored := buf.Stored()
-	// Probe change detectors, mirroring the batched executor's: the
-	// reference loop emits the same DeviceState/Checkpoint/BufferReconfig
-	// stream (it never fast-forwards, so no FastForward events).
-	var lastState mcu.State
-	var lastCap float64
-	var lastBackups, lastRestores int
-	if cfg.Probe != nil {
-		lastState = dev.State()
-		lastCap = buf.Capacitance()
-		lastBackups, lastRestores = dev.Backups, dev.Restores
-	}
+	// The same observer as the batched executor's, so both report one
+	// stream (this loop never fast-forwards, so no FastForward events).
+	obs := newObserver(cfg)
 	// t is derived from the tick count, never accumulated: summing dt once
 	// per tick builds up float error over long runs (2.6e8 ticks for the
-	// 72 h scenario), skewing sample timestamps and the trace-end check.
+	// 72 h scenario), skewing probe timestamps and the trace-end check.
 	tEnd := 0.0
 	// v is the rail voltage at the start of the tick. The buffer state does
 	// not change between the end of one tick and the start of the next, so
-	// it is computed once per tick (after Tick) and reused for recording,
+	// it is computed once per tick (after Tick) and reused for sampling,
 	// the drain-phase check, and the next tick's power delivery.
 	v := buf.OutputVoltage()
 	for tick := 0; ; tick++ {
@@ -186,28 +153,8 @@ func RunReference(cfg Config) (Result, error) {
 		dev.Step(t, dt, buf)
 		buf.Tick(t, dt, dev.Powered())
 		v = buf.OutputVoltage()
-		if cfg.Probe != nil {
-			if st := dev.State(); st != lastState {
-				cfg.Probe.DeviceState(cfg.ProbeCell, t, lastState, st)
-				lastState = st
-			}
-			if bk, rs := dev.Backups, dev.Restores; bk != lastBackups || rs != lastRestores {
-				cfg.Probe.Checkpoint(cfg.ProbeCell, t, bk-lastBackups, rs-lastRestores)
-				lastBackups, lastRestores = bk, rs
-			}
-			//lint:reactlint-ignore dtarith change detection, not a tolerance check: any capacitance difference is a reconfiguration event
-			if cp := buf.Capacitance(); cp != lastCap {
-				cfg.Probe.BufferReconfig(cfg.ProbeCell, t, cp)
-				lastCap = cp
-			}
-		}
-
-		if cfg.RecordDT > 0 && t >= float64(recIdx)*cfg.RecordDT {
-			samples = append(samples, Sample{
-				T: t, V: v, On: dev.Powered(),
-				C: buf.Capacitance(), P: p,
-			})
-			recIdx++
+		if obs.probe != nil {
+			obs.tick(t, v, p, dev, buf)
 		}
 
 		tEnd = float64(tick+1) * dt
@@ -222,8 +169,8 @@ func RunReference(cfg Config) (Result, error) {
 			}
 		}
 	}
-	if cfg.Probe != nil {
-		cfg.Probe.Retire(cfg.ProbeCell, tEnd)
+	if obs.probe != nil {
+		obs.probe.Retire(obs.cell, tEnd)
 	}
 
 	return Result{
@@ -238,6 +185,5 @@ func RunReference(cfg Config) (Result, error) {
 		Ledger:        *buf.Ledger(),
 		Stored:        buf.Stored(),
 		InitialStored: initialStored,
-		Samples:       samples,
 	}, nil
 }

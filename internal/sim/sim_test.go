@@ -121,47 +121,63 @@ func TestTailCapBoundsRun(t *testing.T) {
 	}
 }
 
-func TestRecording(t *testing.T) {
-	cfg := testConfig(10e-3, 20, 1e-3)
-	cfg.RecordDT = 1.0
+// series is a Probe that keeps a cell's sampled series and nothing else.
+type series struct {
+	dt      float64
+	samples []Sample
+}
+
+func (s *series) SampleDT() float64                            { return s.dt }
+func (s *series) Sample(_ int, p Sample)                       { s.samples = append(s.samples, p) }
+func (*series) DeviceState(int, float64, mcu.State, mcu.State) {}
+func (*series) Checkpoint(int, float64, int, int)              {}
+func (*series) BufferReconfig(int, float64, float64)           {}
+func (*series) FastForward(int, float64, float64)              {}
+func (*series) Retire(int, float64)                            {}
+
+// record runs cfg with a probe sampling every dt seconds.
+func record(t *testing.T, cfg Config, dt float64) (Result, []Sample) {
+	t.Helper()
+	s := &series{dt: dt}
+	cfg.Probe = s
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) < 15 {
-		t.Fatalf("recorded %d samples, want ~20", len(res.Samples))
+	return res, s.samples
+}
+
+func TestRecording(t *testing.T) {
+	_, samples := record(t, testConfig(10e-3, 20, 1e-3), 1.0)
+	if len(samples) < 15 {
+		t.Fatalf("recorded %d samples, want ~20", len(samples))
 	}
-	for i := 1; i < len(res.Samples); i++ {
-		if res.Samples[i].T <= res.Samples[i-1].T {
+	for i := 1; i < len(samples); i++ {
+		if samples[i].T <= samples[i-1].T {
 			t.Fatal("samples must be time-ordered")
 		}
 	}
-	if res.Samples[5].C != 1e-3 {
+	if samples[5].C != 1e-3 {
 		t.Error("sample capacitance missing")
 	}
 }
 
-// TestRecordScheduleDoesNotDrift pins the recording cadence: point k is
-// recorded on the first tick at or after k*RecordDT, for a RecordDT (0.1 s)
-// that is not a binary fraction. An accumulated nextRecord += RecordDT
-// schedule drifts off this grid over long runs, dropping or duplicating
-// points near the boundaries.
+// TestRecordScheduleDoesNotDrift pins the sampling cadence: point k is
+// taken on the first tick at or after k*SampleDT, for a SampleDT (0.1 s)
+// that is not a binary fraction. An accumulated next += SampleDT schedule
+// drifts off this grid over long runs, dropping or duplicating points near
+// the boundaries.
 func TestRecordScheduleDoesNotDrift(t *testing.T) {
-	cfg := testConfig(10e-3, 60, 1e-3)
-	cfg.RecordDT = 0.1
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	const dt, sampleDT = 1e-3, 0.1
+	res, samples := record(t, testConfig(10e-3, 60, 1e-3), sampleDT)
+	if want := int(res.Duration/sampleDT) - 1; len(samples) < want {
+		t.Fatalf("recorded %d samples over %.1f s, want at least %d", len(samples), res.Duration, want)
 	}
-	const dt = 1e-3
-	if want := int(res.Duration/cfg.RecordDT) - 1; len(res.Samples) < want {
-		t.Fatalf("recorded %d samples over %.1f s, want at least %d", len(res.Samples), res.Duration, want)
-	}
-	for k, s := range res.Samples {
+	for k, s := range samples {
 		// Point k lands on the first tick at or after its due instant —
 		// within one timestep (plus an ulp of slack for the tick-grid
 		// product rounding).
-		due := float64(k) * cfg.RecordDT
+		due := float64(k) * sampleDT
 		if s.T < due || s.T > due+dt*(1+1e-9) {
 			t.Fatalf("sample %d at t=%.17g, want within one tick of its %.17g due time", k, s.T, due)
 		}
@@ -241,25 +257,5 @@ func TestAlignedFastPathMatchesInterpolation(t *testing.T) {
 		math.Abs(fast.Ledger.Harvested-slow.Ledger.Harvested) > 1.5*tickE {
 		t.Errorf("fast path diverges: on %g vs %g, harvested %g vs %g",
 			fast.OnTime, slow.OnTime, fast.Ledger.Harvested, slow.Ledger.Harvested)
-	}
-}
-
-// TestRecordingPreSizedCapacity: pre-sizing must not change what is
-// recorded.
-func TestRecordingPreSizedCapacity(t *testing.T) {
-	cfg := testConfig(5e-3, 30, 1.5e-3)
-	cfg.RecordDT = 0.5
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int(res.Duration / cfg.RecordDT)
-	if len(res.Samples) < want-1 || len(res.Samples) > want+2 {
-		t.Errorf("recorded %d samples over %.1f s at %.1f s spacing", len(res.Samples), res.Duration, cfg.RecordDT)
-	}
-	for i := 1; i < len(res.Samples); i++ {
-		if res.Samples[i].T <= res.Samples[i-1].T {
-			t.Fatal("samples out of order")
-		}
 	}
 }

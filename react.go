@@ -45,6 +45,7 @@ import (
 	"react/internal/harvest"
 	"react/internal/mcu"
 	"react/internal/morphy"
+	"react/internal/obs"
 	"react/internal/radio"
 	"react/internal/runner"
 	"react/internal/scenario"
@@ -125,9 +126,15 @@ type (
 	SimConfig = sim.Config
 	// Result is a completed run's outcome.
 	Result = sim.Result
-	// Sample is one recorded voltage/state point.
+	// Sample is one sampled voltage/state point.
 	Sample = sim.Sample
+	// Sampler records each run's sampled series as a probe.
+	Sampler = obs.Sampler
 )
+
+// NewSampler returns a probe (SimConfig.Probe, ScenarioOptions.Probe)
+// sampling every dt seconds that passes device events on to next.
+func NewSampler(dt float64, next sim.Probe) *Sampler { return obs.NewSampler(dt, next) }
 
 // NewREACT builds a REACT buffer from cfg.
 func NewREACT(cfg Config) *REACTBuffer { return core.New(cfg) }
