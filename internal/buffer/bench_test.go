@@ -21,7 +21,7 @@ func BenchmarkStaticCycle(b *testing.B) {
 
 func TestStaticCycleAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, simtest.Cycle(static770())); n != 0 {
-		t.Errorf("static Harvest→Draw→Tick cycle: %v allocs/op, want 0", n)
+		t.Errorf("static executor-order cycle: %v allocs/op, want 0", n)
 	}
 }
 
@@ -42,7 +42,7 @@ func BenchmarkDewdropCycle(b *testing.B) {
 func TestDewdropCycleAllocs(t *testing.T) {
 	buf := dewdrop22()
 	if n := testing.AllocsPerRun(100, simtest.Cycle(buf)); n != 0 {
-		t.Errorf("Dewdrop Harvest→Draw→Tick cycle: %v allocs/op, want 0", n)
+		t.Errorf("Dewdrop executor-order cycle: %v allocs/op, want 0", n)
 	}
 	if buf.Level() != 1 {
 		t.Errorf("primed Dewdrop sits at level %d, want its task level, 1", buf.Level())

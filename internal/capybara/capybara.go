@@ -65,7 +65,9 @@ type Buffer struct {
 	cfg    Config
 	traits buffer.Traits
 	banks  []*circuit.Capacitor
-	mode   int // banks 0..mode are active
+	nodes  []circuit.Node // banks as circuit nodes, for a mode step's equalize
+	volts  []float64      // scratch bank voltages for that equalize
+	mode   int            // banks 0..mode are active
 	ledger buffer.Ledger
 	poll   float64
 }
@@ -81,10 +83,13 @@ func New(cfg Config) *Buffer {
 		Guarantee: make([]float64, len(cfg.Banks)),
 	}}
 	for _, c := range cfg.Banks {
-		b.banks = append(b.banks, &circuit.Capacitor{
+		bank := &circuit.Capacitor{
 			C: c, LeakI: cfg.LeakIPerF * c, VRated: cfg.VRated, VMax: cfg.VMax,
-		})
+		}
+		b.banks = append(b.banks, bank)
+		b.nodes = append(b.nodes, bank)
 	}
+	b.volts = make([]float64, len(b.banks))
 	if cfg.PollHz > 0 {
 		b.poll = 1 / cfg.PollHz
 	}
@@ -237,8 +242,12 @@ func (b *Buffer) controllerPoll() {
 			return
 		}
 		b.mode++
-		_, loss := circuit.EqualizeParallel(b.railNodes()...)
-		b.ledger.SwitchLoss += loss
+		// Bank voltages move every tick and are read only here, so they
+		// are derived at the mode change rather than held.
+		for i, c := range b.active() {
+			b.volts[i] = c.Voltage()
+		}
+		b.ledger.SwitchLoss += circuit.EqualizeParallel(b.nodes[:b.mode+1], b.volts)
 	case v <= b.cfg.VLow && b.mode > 0:
 		// Disconnect the most recently added bank. Its residual charge
 		// strands on the reserve (recoverable only if the mode climbs
@@ -246,15 +255,6 @@ func (b *Buffer) controllerPoll() {
 		// boost it back onto the rail.
 		b.mode--
 	}
-}
-
-// railNodes returns the active banks as circuit nodes.
-func (b *Buffer) railNodes() []circuit.Node {
-	ns := make([]circuit.Node, 0, b.mode+1)
-	for _, c := range b.active() {
-		ns = append(ns, c)
-	}
-	return ns
 }
 
 // QuiescentOff implements buffer.Buffer. A device-off tick leaks and

@@ -47,7 +47,7 @@ func BenchmarkStore(b *testing.B) {
 		ch := benchChain()
 		for b.Loop() {
 			resetChain(ch)
-			sink = ch.Store(benchDE, 0)
+			sink = ch.Store(benchV, benchDE, 0)
 		}
 	})
 }
@@ -64,7 +64,7 @@ func BenchmarkDraw(b *testing.B) {
 		ch := benchChain()
 		for b.Loop() {
 			resetChain(ch)
-			sink = ch.Draw(benchDE)
+			sink = ch.Draw(benchV, benchDE)
 		}
 	})
 }
@@ -91,9 +91,10 @@ func BenchmarkLeak(b *testing.B) {
 }
 
 // BenchmarkEqualizeParallel times Morphy's per-tick relaxation of its
-// {3, 3, 2} partition: Equalized is the steady state the sub-nanovolt
-// early-out serves, Imbalanced a freshly reshuffled network that must
-// redistribute charge.
+// {3, 3, 2} partition on the chain voltages it holds: Equalized is the
+// steady state the sub-nanovolt early-out serves, Imbalanced a freshly
+// reshuffled network that must redistribute charge (its reset derives the
+// voltages, as Morphy's rebuild does).
 func BenchmarkEqualizeParallel(b *testing.B) {
 	chains := func() []Node {
 		caps := make([]*Capacitor, 8)
@@ -107,19 +108,25 @@ func BenchmarkEqualizeParallel(b *testing.B) {
 		for _, n := range nodes {
 			resetChain(n.(*Chain))
 		}
+		volts := make([]float64, len(nodes))
+		for i, n := range nodes {
+			volts[i] = n.Voltage()
+		}
 		for b.Loop() {
-			sink, _ = EqualizeParallel(nodes...)
+			sink = EqualizeParallel(nodes, volts)
 		}
 	})
 	b.Run("Imbalanced", func(b *testing.B) {
 		nodes := chains()
+		volts := make([]float64, len(nodes))
 		for b.Loop() {
 			for i, n := range nodes {
 				for _, c := range n.(*Chain).Caps {
 					c.SetVoltage(1 + float64(i)*0.5)
 				}
+				volts[i] = n.Voltage()
 			}
-			_, sink = EqualizeParallel(nodes...)
+			sink = EqualizeParallel(nodes, volts)
 		}
 	})
 }

@@ -136,7 +136,7 @@ func TestPaperLossFourCap(t *testing.T) {
 
 	three := NewChain(caps[0], caps[1], caps[2])
 	single := NewChain(caps[3])
-	vNew, loss := EqualizeParallel(three, single)
+	vNew, loss := equalize(t, three, single)
 
 	approx(t, vNew, 3*V/8, 1e-9, "final voltage 3V/8")
 	eNew := three.Energy() + single.Energy()
@@ -158,7 +158,7 @@ func TestPaperLossEightCap(t *testing.T) {
 
 	seven := NewChain(caps[:7]...)
 	one := NewChain(caps[7])
-	_, loss := EqualizeParallel(seven, one)
+	_, loss := equalize(t, seven, one)
 
 	eNew := seven.Energy() + one.Energy()
 	approx(t, eNew/eOld, 0.4375, 1e-9, "43.75 % of energy conserved")
@@ -170,16 +170,38 @@ func TestEqualizeParallelEqualVoltagesLossless(t *testing.T) {
 	b := &Capacitor{C: 5e-3}
 	a.SetVoltage(2.5)
 	b.SetVoltage(2.5)
-	v, loss := EqualizeParallel(a, b)
+	v, loss := equalize(t, a, b)
 	approx(t, v, 2.5, 1e-12, "equal-voltage equalization keeps voltage")
 	approx(t, loss, 0, 1e-12, "equal-voltage equalization is lossless")
 }
 
 func TestEqualizeParallelEmpty(t *testing.T) {
-	v, loss := EqualizeParallel()
+	v, loss := equalize(t)
 	if v != 0 || loss != 0 {
 		t.Error("no nodes, no effect")
 	}
+}
+
+// equalize parallels nodes as a caller holding no voltages does: it derives
+// them, equalizes, and requires the voltages EqualizeParallel hands back to
+// be bit-identical to freshly derived ones. It returns the first node's
+// final voltage (0 without nodes) and the loss.
+func equalize(t *testing.T, nodes ...Node) (v, loss float64) {
+	t.Helper()
+	volts := make([]float64, len(nodes))
+	for i, n := range nodes {
+		volts[i] = n.Voltage()
+	}
+	loss = EqualizeParallel(nodes, volts)
+	for i, n := range nodes {
+		if math.Float64bits(volts[i]) != math.Float64bits(n.Voltage()) {
+			t.Errorf("node %d: held voltage %v after equalizing, fresh %v", i, volts[i], n.Voltage())
+		}
+	}
+	if len(volts) > 0 {
+		v = volts[0]
+	}
+	return v, loss
 }
 
 // transfer conducts src into dst through a diode with forward drop vDrop,
@@ -254,7 +276,7 @@ func TestStoreEnergyWithDropLoses(t *testing.T) {
 
 func TestStoreEnergyNowhere(t *testing.T) {
 	ch := NewChain()
-	if dq := ch.Store(1e-3, 0); dq != 0 || ch.Energy() != 0 {
+	if dq := ch.Store(ch.Voltage(), 1e-3, 0); dq != 0 || ch.Energy() != 0 {
 		t.Errorf("zero capacitance must store nothing, got dq %g, E %g", dq, ch.Energy())
 	}
 	if dq := StoreDQ(0, 0, 1e-3, 0); dq != 0 {
@@ -301,7 +323,7 @@ func TestEqualizeParallelProperties(t *testing.T) {
 		b.SetVoltage(v2)
 		qBefore := a.Q + b.Q
 		eBefore := a.Energy() + b.Energy()
-		_, loss := EqualizeParallel(a, b)
+		_, loss := equalize(t, a, b)
 		qAfter := a.Q + b.Q
 		eAfter := a.Energy() + b.Energy()
 		chargeOK := math.Abs(qBefore-qAfter) <= 1e-12*(1+math.Abs(qBefore))
@@ -324,8 +346,8 @@ func TestStoreDrawRoundTrip(t *testing.T) {
 		c.Store(dE, 0)
 		got := c.Draw(dE)
 		ch := NewChain(&Capacitor{C: c.C}, &Capacitor{C: 2 * c.C})
-		ch.Store(dE, 0)
-		gotCh := ch.Draw(dE)
+		ch.Store(ch.Voltage(), dE, 0)
+		gotCh := ch.Draw(ch.Voltage(), dE)
 		return math.Abs(got-dE) <= 1e-9*(1+dE) && math.Abs(gotCh-dE) <= 1e-9*(1+dE)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

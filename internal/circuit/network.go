@@ -79,15 +79,18 @@ func (ch *Chain) Energy() float64 {
 }
 
 // Store delivers dE joules through the chain terminal (see StoreDQ) and
-// returns the charge delivered.
-func (ch *Chain) Store(dE, vDrop float64) float64 {
-	return ch.AddCharge(StoreDQ(ch.Capacitance(), ch.Voltage(), dE, vDrop))
+// returns the charge delivered. v is the terminal voltage the caller holds
+// for the chain, which must equal Voltage(): a caller tracking its chains'
+// voltages re-derives v after the move instead of summing the members twice.
+func (ch *Chain) Store(v, dE, vDrop float64) float64 {
+	return ch.AddCharge(StoreDQ(ch.Capacitance(), v, dE, vDrop))
 }
 
 // Draw withdraws up to dE joules through the chain terminal (see DrawDQ)
-// and returns the energy actually removed.
-func (ch *Chain) Draw(dE float64) float64 {
-	dq := DrawDQ(ch.Capacitance(), ch.Voltage(), dE)
+// and returns the energy actually removed. v is the held terminal voltage,
+// as for Store.
+func (ch *Chain) Draw(v, dE float64) float64 {
+	dq := DrawDQ(ch.Capacitance(), v, dE)
 	if dq == 0 {
 		return 0
 	}
@@ -110,24 +113,29 @@ func (ch *Chain) AddCharge(dq float64) float64 {
 
 // EqualizeParallel connects the nodes in parallel and lets charge
 // redistribute until all terminal voltages are equal, conserving total
-// terminal charge. It returns the common final voltage and the energy
-// dissipated in the interconnect (always ≥ 0 up to rounding).
+// terminal charge. It returns the energy dissipated in the interconnect
+// (always ≥ 0 up to rounding).
+//
+// volts[i] must hold nodes[i].Voltage() on entry: a caller that tracks its
+// node voltages passes the values it holds, one that does not derives them
+// first. On return volts holds every node's voltage after the
+// redistribution, so the caller's copy stays current.
 //
 // This is the lossy operation at the heart of the paper's §3.3.1 analysis:
 // a unified switched-capacitor array pays it on every reconfiguration,
 // while REACT's isolated banks never connect charged elements at different
 // potentials.
-func EqualizeParallel(nodes ...Node) (v, loss float64) {
+func EqualizeParallel(nodes []Node, volts []float64) (loss float64) {
 	if len(nodes) == 0 {
-		return 0, 0
+		return 0
 	}
-	var csum, qsum float64
+	volts = volts[:len(nodes)]
+	// Fast path: a network already within a nanovolt of equal is equalized
+	// in steady state (the redistribution and its dissipation are below
+	// rounding), and simulation loops call this every tick. It reads only
+	// the held voltages.
 	minV, maxV := math.Inf(1), math.Inf(-1)
-	for _, n := range nodes {
-		c := n.Capacitance()
-		nv := n.Voltage()
-		csum += c
-		qsum += c * nv
+	for _, nv := range volts {
 		if nv < minV {
 			minV = nv
 		}
@@ -135,30 +143,34 @@ func EqualizeParallel(nodes ...Node) (v, loss float64) {
 			maxV = nv
 		}
 	}
-	if csum == 0 {
-		return 0, 0
-	}
-	v = qsum / csum
-	// Fast path: a network already within a nanovolt of equal is equalized
-	// in steady state (the redistribution and its dissipation are below
-	// rounding), and simulation loops call this every tick.
 	if maxV-minV < 1e-9 {
-		return v, 0
+		return 0
 	}
+	var csum, qsum float64
+	for i, n := range nodes {
+		c := n.Capacitance()
+		csum += c
+		qsum += c * volts[i]
+	}
+	if csum == 0 {
+		return 0
+	}
+	v := qsum / csum
 	var before float64
 	for _, n := range nodes {
 		before += n.Energy()
 	}
 	after := 0.0
-	for _, n := range nodes {
-		n.AddCharge(n.Capacitance() * (v - n.Voltage()))
+	for i, n := range nodes {
+		n.AddCharge(n.Capacitance() * (v - volts[i]))
+		volts[i] = n.Voltage()
 		after += n.Energy()
 	}
 	loss = before - after
 	if loss < 0 && loss > -1e-15 {
 		loss = 0 // rounding guard
 	}
-	return v, loss
+	return loss
 }
 
 // TransferDQ is the charge a diode with forward drop vDrop conducts from a

@@ -188,7 +188,7 @@ func (b *Buffer) Harvest(dE float64) {
 	}
 	drop := b.cfg.DiodeDrop
 	if llbIn {
-		dq := b.llb.Store(dE*b.llb.C/groupC, drop)
+		dq := b.llb.AddCharge(circuit.StoreDQ(b.llb.C, volts[0], dE*b.llb.C/groupC, drop))
 		b.ledger.SwitchLoss += drop * dq
 	}
 	for i, bank := range b.banks {

@@ -25,12 +25,13 @@ func onStep(tb testing.TB, bench string) (func(), *mcu.Device) {
 		tb.Fatal(err)
 	}
 	dev := mcu.NewDevice(prof, wl)
+	dev.Bind(buf)
 	const dt = 1e-3
 	tick := 0
 	step := func() {
 		l := buf.Ledger()
 		before := l.Consumed
-		dev.Step(float64(tick)*dt, dt, buf)
+		dev.Step(float64(tick)*dt, dt)
 		buf.Harvest(l.Consumed - before)
 		tick++
 	}

@@ -230,15 +230,14 @@ type Device struct {
 	CycleTime  float64
 	cycleStart float64
 
-	// env is reused across steps so the workload's *Env view never escapes
-	// to the heap on the tick path (a per-tick allocation at simulation
-	// rates; workloads only read it within Step).
-	env Env
-	// bound is the buffer whose traits the device holds. A device steps
-	// against one buffer for a whole run, so reading the traits once at
-	// bind leaves one pointer comparison on the tick path.
-	bound  buffer.Buffer
+	// buf is the buffer the device steps against, and traits its
+	// construction-time facts, both set by Bind. env is reused across
+	// steps so the workload's *Env view never escapes to the heap on the
+	// tick path (a per-tick allocation at simulation rates; workloads only
+	// read it within Step); Bind fills its run-constant fields.
+	buf    buffer.Buffer
 	traits buffer.Traits
+	env    Env
 }
 
 // NewDevice builds a device in the Off state.
@@ -253,30 +252,36 @@ func (d *Device) State() State { return d.state }
 // or in a checkpoint burst).
 func (d *Device) Powered() bool { return d.state != Off }
 
-// bind reads buf's traits unless the device already holds them.
-func (d *Device) bind(buf buffer.Buffer) {
-	if d.bound != buf {
-		d.bound, d.traits = buf, buf.Traits()
+// Bind attaches the buffer the device steps against for a whole run: it
+// reads the buffer's traits once and sets the workload environment's
+// run-constant fields (VMin, OverheadFrac, Guarantee). Call it before the
+// first Step or EnableVoltage, after Prof is final.
+func (d *Device) Bind(buf buffer.Buffer) {
+	d.buf, d.traits = buf, buf.Traits()
+	d.env = Env{
+		VMin:         d.Prof.VBrownout,
+		OverheadFrac: d.traits.OverheadFrac,
+		Guarantee:    d.traits.Guarantee,
 	}
 }
 
 // EnableVoltage returns the voltage at which the power gate wakes the device
-// on buf: the buffer's own wake voltage when its traits set one (Dewdrop),
-// the profile's otherwise.
-func (d *Device) EnableVoltage(buf buffer.Buffer) float64 {
-	d.bind(buf)
+// on its bound buffer: the buffer's own wake voltage when its traits set one
+// (Dewdrop), the profile's otherwise.
+func (d *Device) EnableVoltage() float64 {
 	if d.traits.VEnable != 0 {
 		return d.traits.VEnable
 	}
 	return d.Prof.VEnable
 }
 
-// Step advances the device by dt seconds, drawing energy from buf.
-func (d *Device) Step(now, dt float64, buf buffer.Buffer) {
-	d.bind(buf)
+// Step advances the device by dt seconds, drawing energy from the bound
+// buffer.
+func (d *Device) Step(now, dt float64) {
+	buf := d.buf
 	v := buf.OutputVoltage()
 	if d.state == Off {
-		if v >= d.EnableVoltage(buf) {
+		if v >= d.EnableVoltage() {
 			d.state = Booting
 			d.bootLeft = d.Prof.BootTime
 			if d.FirstOn < 0 {
@@ -295,7 +300,7 @@ func (d *Device) Step(now, dt float64, buf buffer.Buffer) {
 	// device suspends the workload and spends this tick on the backup
 	// burst instead.
 	if d.state == On && d.Scheme != nil {
-		d.maybeBackup(now, v, buf)
+		d.maybeBackup(now, v)
 	}
 
 	var current float64
@@ -320,15 +325,10 @@ func (d *Device) Step(now, dt float64, buf buffer.Buffer) {
 			d.finishBackup(now)
 		}
 	default: // On
-		d.env = Env{
-			Now:          now,
-			Voltage:      v,
-			VMin:         d.Prof.VBrownout,
-			Capacitance:  buf.Capacitance(),
-			OverheadFrac: d.traits.OverheadFrac,
-			Guarantee:    d.traits.Guarantee,
-			Level:        buf.Level(),
-		}
+		d.env.Now = now
+		d.env.Voltage = v
+		d.env.Capacitance = buf.Capacitance()
+		d.env.Level = buf.Level()
 		current = d.WL.Step(&d.env, dt)
 	}
 
@@ -345,11 +345,11 @@ func (d *Device) Step(now, dt float64, buf buffer.Buffer) {
 // maybeBackup consults the scheme's trigger policy and, when it fires,
 // suspends the workload and enters the backup burst. Only called while On
 // with v above the brownout voltage.
-func (d *Device) maybeBackup(now, v float64, buf buffer.Buffer) {
+func (d *Device) maybeBackup(now, v float64) {
 	st := ckpt.State{
 		Now:         now,
 		Voltage:     v,
-		Usable:      0.5 * buf.Capacitance() * (v*v - d.Prof.VBrownout*d.Prof.VBrownout),
+		Usable:      0.5 * d.buf.Capacitance() * (v*v - d.Prof.VBrownout*d.Prof.VBrownout),
 		SinceBackup: now - d.ckptAt,
 	}
 	if !d.Scheme.WillBackup(st) {

@@ -40,8 +40,9 @@ func TestDeviceStaysOffBelowEnable(t *testing.T) {
 	wl := &stubWorkload{current: 1e-3}
 	d := NewDevice(DefaultProfile(), wl)
 	buf := newBuf(1e-3, 3.0) // below the 3.3 V enable
+	d.Bind(buf)
 	for i := 0; i < 100; i++ {
-		d.Step(float64(i)*1e-3, 1e-3, buf)
+		d.Step(float64(i)*1e-3, 1e-3)
 	}
 	if d.Powered() || wl.steps > 0 {
 		t.Error("device must stay gated below the enable voltage")
@@ -55,8 +56,9 @@ func TestDeviceBootsAtEnable(t *testing.T) {
 	wl := &stubWorkload{current: 1e-3}
 	d := NewDevice(DefaultProfile(), wl)
 	buf := newBuf(1e-3, 3.4)
+	d.Bind(buf)
 	for i := 0; i < 100; i++ {
-		d.Step(float64(i)*1e-3, 1e-3, buf)
+		d.Step(float64(i)*1e-3, 1e-3)
 	}
 	if d.State() != On {
 		t.Fatalf("device state %v, want On", d.State())
@@ -76,8 +78,9 @@ func TestDeviceBrownsOutAtVMin(t *testing.T) {
 	wl := &stubWorkload{current: 50e-3} // heavy load drains quickly
 	d := NewDevice(DefaultProfile(), wl)
 	buf := newBuf(100e-6, 3.4)
+	d.Bind(buf)
 	for i := 0; i < 10000 && wl.powerOff == 0; i++ {
-		d.Step(float64(i)*1e-3, 1e-3, buf)
+		d.Step(float64(i)*1e-3, 1e-3)
 	}
 	if wl.powerOff != 1 {
 		t.Fatal("workload never notified of power loss")
@@ -97,9 +100,10 @@ func TestDeviceDrawsFromBuffer(t *testing.T) {
 	wl := &stubWorkload{current: 1e-3}
 	d := NewDevice(DefaultProfile(), wl)
 	buf := newBuf(10e-3, 3.4)
+	d.Bind(buf)
 	before := buf.Stored()
 	for i := 0; i < 1000; i++ {
-		d.Step(float64(i)*1e-3, 1e-3, buf)
+		d.Step(float64(i)*1e-3, 1e-3)
 	}
 	if buf.Stored() >= before {
 		t.Error("running device must drain the buffer")
@@ -134,8 +138,9 @@ func TestBootConsumesTime(t *testing.T) {
 	wl := &stubWorkload{current: 1e-3}
 	d := NewDevice(prof, wl)
 	buf := newBuf(10e-3, 3.4)
+	d.Bind(buf)
 	for i := 0; i < 30; i++ { // 30 ms < 50 ms boot
-		d.Step(float64(i)*1e-3, 1e-3, buf)
+		d.Step(float64(i)*1e-3, 1e-3)
 	}
 	if d.State() != Booting {
 		t.Errorf("state %v, want Booting", d.State())
@@ -174,14 +179,52 @@ func TestDeviceHonoursEnableHint(t *testing.T) {
 	d := NewDevice(DefaultProfile(), wl)
 	buf := hintBuf{Static: newBuf(1e-3, 2.5), enable: 2.2}
 	// 2.5 V is below the default 3.3 V enable but above the 2.2 V hint.
-	d.Step(0, 1e-3, buf)
+	d.Bind(buf)
+	d.Step(0, 1e-3)
 	if !d.Powered() {
 		t.Error("device must honour the buffer's enable hint")
 	}
 	d2 := NewDevice(DefaultProfile(), &stubWorkload{})
-	d2.Step(0, 1e-3, newBuf(1e-3, 2.5))
+	d2.Bind(newBuf(1e-3, 2.5))
+	d2.Step(0, 1e-3)
 	if d2.Powered() {
 		t.Error("without a hint the platform default applies")
+	}
+}
+
+// TestBoundEnableVoltage pins the wake voltage Bind resolves: a Dewdrop
+// buffer's task-matched trait, and the profile's own for a buffer without
+// one. Each device wakes on its first step with the rail charged to that
+// voltage, and not with it charged to the next float below.
+func TestBoundEnableVoltage(t *testing.T) {
+	dew := func() *buffer.Dewdrop {
+		return buffer.NewDewdrop(buffer.DewdropConfig{C: 1e-3, VMax: 3.6, VMin: 1.8, TaskEnergy: 1e-3})
+	}
+	wantDew := dew().Traits().VEnable
+	if wantDew == 0 || wantDew >= DefaultProfile().VEnable {
+		t.Fatalf("Dewdrop trait VEnable %g: want a wake voltage below the profile's %g", wantDew, DefaultProfile().VEnable)
+	}
+	for _, tc := range []struct {
+		name string
+		buf  func() buffer.Buffer
+		want float64
+	}{
+		{"Dewdrop trait", func() buffer.Buffer { return dew() }, wantDew},
+		{"default profile", func() buffer.Buffer { return newBuf(1e-3, 0) }, DefaultProfile().VEnable},
+	} {
+		for i, v := range []float64{tc.want, math.Nextafter(tc.want, 0)} {
+			buf := tc.buf()
+			buf.Harvest(0.5 * 1e-3 * v * v)
+			d := NewDevice(DefaultProfile(), &stubWorkload{})
+			d.Bind(buf)
+			if got := d.EnableVoltage(); got != tc.want {
+				t.Fatalf("%s: EnableVoltage %g, want %g", tc.name, got, tc.want)
+			}
+			d.Step(0, 1e-3)
+			if on, want := d.Powered(), i == 0; on != want {
+				t.Errorf("%s: rail %.17g against %g: powered %v, want %v", tc.name, buf.OutputVoltage(), tc.want, on, want)
+			}
+		}
 	}
 }
 
@@ -227,11 +270,12 @@ func TestDeviceODABSuspendsBeforeBrownout(t *testing.T) {
 	d := NewDevice(DefaultProfile(), wl)
 	d.Scheme, _ = ckpt.Build(ckpt.Config{Scheme: "odab"})
 	buf := newBuf(1e-3, 3.5)
+	d.Bind(buf)
 	sawBacking := false
 	var now float64
 	for i := 0; i < 5000 && d.State() != Off || i == 0; i++ {
 		now = float64(i) * 1e-3
-		d.Step(now, 1e-3, buf)
+		d.Step(now, 1e-3)
 		if d.State() == Backing {
 			sawBacking = true
 		}
@@ -259,7 +303,7 @@ func TestDeviceODABSuspendsBeforeBrownout(t *testing.T) {
 	buf.Harvest(8e-3)
 	sawRestoring := false
 	for i := 0; i < 1000; i++ {
-		d.Step(now+float64(i+1)*1e-3, 1e-3, buf)
+		d.Step(now+float64(i+1)*1e-3, 1e-3)
 		if d.State() == Restoring {
 			sawRestoring = true
 		}
@@ -283,8 +327,9 @@ func TestDevicePeriodicBackupResumes(t *testing.T) {
 	d := NewDevice(DefaultProfile(), wl)
 	d.Scheme, _ = ckpt.Build(ckpt.Config{Scheme: "periodic", Interval: 0.2})
 	buf := newBuf(10e-3, 3.5)
+	d.Bind(buf)
 	for i := 0; i < 1000; i++ { // 1 s: boot + ~2-3 snapshot cycles
-		d.Step(float64(i)*1e-3, 1e-3, buf)
+		d.Step(float64(i)*1e-3, 1e-3)
 	}
 	if d.Backups < 2 {
 		t.Fatalf("Backups = %d, want several snapshots over 1 s at 0.2 s cadence", d.Backups)

@@ -74,11 +74,19 @@ func DefaultConfig() Config {
 }
 
 // Buffer is a Morphy array.
+//
+// It holds the voltage of every chain of the current partition, derived
+// once after each charge move: volts[i] is chains[i].Voltage() and c the
+// partition's Σ chain capacitance in chain order, so every reader between
+// two moves uses the held value instead of re-summing the members.
 type Buffer struct {
 	cfg     Config
 	caps    []*circuit.Capacitor
+	parts   []partition // every rung of the ladder, built once in New
 	chains  []*circuit.Chain
-	nodes   []circuit.Node // chains as circuit nodes; rebuilt with chains
+	nodes   []circuit.Node // chains as circuit nodes
+	volts   []float64      // volts[i] == chains[i].Voltage()
+	c       float64        // Σ chain capacitance, in chain order
 	idx     int            // current partition index
 	ledger  buffer.Ledger
 	poll    float64
@@ -86,10 +94,23 @@ type Buffer struct {
 	traits  buffer.Traits
 }
 
+// partition is one configuration's chains, which depend only on its index.
+type partition struct {
+	chains []*circuit.Chain
+	nodes  []circuit.Node
+	c      float64
+}
+
 var _ buffer.Buffer = (*Buffer)(nil)
 
 // New builds a Morphy buffer. It panics if a partition does not cover
 // exactly NumCaps capacitors (a configuration bug, not a runtime state).
+//
+// Each configuration starts its assignment at a different capacitor
+// (rotating by the partition index): the fixed switch fabric's
+// configurations do not nest, so stepping the ladder reshuffles which
+// capacitors share a chain — and reshuffling charged capacitors into new
+// chains is where the §3.3.1 dissipation comes from.
 func New(cfg Config) *Buffer {
 	for _, p := range cfg.Partitions {
 		total := 0
@@ -106,6 +127,25 @@ func New(cfg Config) *Buffer {
 			C: cfg.UnitC, LeakI: cfg.LeakI, VRated: cfg.VRated,
 		})
 	}
+	widest := 0
+	for idx, part := range cfg.Partitions {
+		var p partition
+		at := idx
+		for _, m := range part {
+			caps := make([]*circuit.Capacitor, m)
+			for i := range caps {
+				caps[i] = b.caps[(at+i)%cfg.NumCaps]
+			}
+			at += m
+			ch := circuit.NewChain(caps...)
+			p.chains = append(p.chains, ch)
+			p.nodes = append(p.nodes, ch)
+			p.c += ch.Capacitance()
+		}
+		b.parts = append(b.parts, p)
+		widest = max(widest, len(part))
+	}
+	b.volts = make([]float64, widest)
 	b.rebuild()
 	if cfg.PollHz > 0 {
 		b.poll = 1 / cfg.PollHz
@@ -125,28 +165,20 @@ func New(cfg Config) *Buffer {
 	return b
 }
 
-// rebuild reconstructs the chain list for the current partition. Each
-// configuration starts its assignment at a different capacitor (rotating by
-// the partition index): the fixed switch fabric's configurations do not
-// nest, so stepping the ladder reshuffles which capacitors share a chain —
-// and reshuffling charged capacitors into new chains is where the §3.3.1
-// dissipation comes from.
+// rebuild switches to the current partition's chains and derives their
+// voltages.
 func (b *Buffer) rebuild() {
-	part := b.cfg.Partitions[b.idx]
-	b.chains = b.chains[:0]
-	at := b.idx
-	n := len(b.caps)
-	for _, m := range part {
-		caps := make([]*circuit.Capacitor, m)
-		for i := 0; i < m; i++ {
-			caps[i] = b.caps[(at+i)%n]
-		}
-		at += m
-		b.chains = append(b.chains, circuit.NewChain(caps...))
-	}
-	b.nodes = b.nodes[:0]
-	for _, ch := range b.chains {
-		b.nodes = append(b.nodes, ch)
+	p := &b.parts[b.idx]
+	b.chains, b.nodes, b.c = p.chains, p.nodes, p.c
+	b.volts = b.volts[:len(b.chains)]
+	b.derive()
+}
+
+// derive refreshes every held chain voltage after a charge move that
+// touched all of them.
+func (b *Buffer) derive() {
+	for i, ch := range b.chains {
+		b.volts[i] = ch.Voltage()
 	}
 }
 
@@ -154,10 +186,9 @@ func (b *Buffer) rebuild() {
 func (b *Buffer) Traits() buffer.Traits { return b.traits }
 
 // equalize relaxes the parallel chain network, charging any imbalance to
-// the switch-loss ledger.
+// the switch-loss ledger; EqualizeParallel refreshes the held voltages.
 func (b *Buffer) equalize() {
-	_, loss := circuit.EqualizeParallel(b.nodes...)
-	b.ledger.SwitchLoss += loss
+	b.ledger.SwitchLoss += circuit.EqualizeParallel(b.nodes, b.volts)
 }
 
 // Harvest implements buffer.Buffer: charge splits across the paralleled
@@ -172,16 +203,14 @@ func (b *Buffer) Harvest(dE float64) {
 		b.ledger.SwitchLoss += dE * (1 - eff)
 		dE *= eff
 	}
-	var total float64
-	for _, ch := range b.chains {
-		total += ch.Capacitance()
-	}
+	total := b.c
 	if total == 0 {
 		b.ledger.Clipped += dE
 		return
 	}
-	for _, ch := range b.chains {
-		ch.Store(dE*ch.Capacitance()/total, 0)
+	for i, ch := range b.chains {
+		ch.Store(b.volts[i], dE*ch.Capacitance()/total, 0)
+		b.volts[i] = ch.Voltage()
 	}
 	b.clip()
 }
@@ -191,18 +220,16 @@ func (b *Buffer) Harvest(dE float64) {
 // split is retried so an imbalanced (drained) chain does not starve the
 // load while its neighbours remain charged.
 func (b *Buffer) Draw(dE float64) float64 {
-	var total float64
-	for _, ch := range b.chains {
-		total += ch.Capacitance()
-	}
+	total := b.c
 	if total == 0 {
 		return 0
 	}
 	remaining := dE
 	for iter := 0; iter < 4 && remaining > 1e-18; iter++ {
 		var got float64
-		for _, ch := range b.chains {
-			got += ch.Draw(remaining * ch.Capacitance() / total)
+		for i, ch := range b.chains {
+			got += ch.Draw(b.volts[i], remaining*ch.Capacitance()/total)
+			b.volts[i] = ch.Voltage()
 		}
 		remaining -= got
 		if got == 0 {
@@ -218,16 +245,14 @@ func (b *Buffer) Draw(dE float64) float64 {
 // chains are kept equalized, so the capacitance-weighted mean is exact in
 // steady state.
 func (b *Buffer) OutputVoltage() float64 {
-	var qc, c float64
-	for _, ch := range b.chains {
-		cc := ch.Capacitance()
-		qc += cc * ch.Voltage()
-		c += cc
+	var qc float64
+	for i, ch := range b.chains {
+		qc += ch.Capacitance() * b.volts[i]
 	}
-	if c == 0 {
+	if b.c == 0 {
 		return 0
 	}
-	return qc / c
+	return qc / b.c
 }
 
 // Stored implements buffer.Buffer.
@@ -240,22 +265,17 @@ func (b *Buffer) Stored() float64 {
 }
 
 // Capacitance implements buffer.Buffer.
-func (b *Buffer) Capacitance() float64 {
-	var c float64
-	for _, ch := range b.chains {
-		c += ch.Capacitance()
-	}
-	return c
-}
+func (b *Buffer) Capacitance() float64 { return b.c }
 
 // clip enforces the rail overvoltage limit by discarding terminal charge.
 func (b *Buffer) clip() {
-	for _, ch := range b.chains {
-		v := ch.Voltage()
+	for i, ch := range b.chains {
+		v := b.volts[i]
 		if b.cfg.VMax > 0 && v > b.cfg.VMax {
 			before := ch.Energy()
 			ch.AddCharge(-(v - b.cfg.VMax) * ch.Capacitance())
 			b.ledger.Clipped += before - ch.Energy()
+			b.volts[i] = ch.Voltage()
 		}
 	}
 }
@@ -267,6 +287,7 @@ func (b *Buffer) Tick(now, dt float64, deviceOn bool) {
 	for _, c := range b.caps {
 		b.ledger.Leaked += c.Leak(dt)
 	}
+	b.derive()
 	b.clip()
 	b.poll -= dt
 	if b.poll <= 0 {

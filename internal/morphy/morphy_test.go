@@ -209,3 +209,81 @@ func TestName(t *testing.T) {
 		t.Error("name")
 	}
 }
+
+// TestHeldVoltagesMatchFresh drives a random mix of harvests (some large
+// enough to clip), draws and device-on/off ticks through alternating
+// surplus and deficit phases, so the controller steps the ladder both up
+// and down. After every call the held state must be bit-identical to what
+// the chains give when derived afresh: each chain voltage, the summed
+// capacitance in chain order, and the capacitance-weighted rail voltage.
+func TestHeldVoltagesMatchFresh(t *testing.T) {
+	b := New(DefaultConfig())
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(call int, op string) {
+		t.Helper()
+		var c, qc float64
+		for i, ch := range b.chains {
+			if v := ch.Voltage(); !same(b.volts[i], v) {
+				t.Fatalf("call %d (%s): chain %d held %v, fresh %v", call, op, i, b.volts[i], v)
+			}
+			cc := ch.Capacitance()
+			qc += cc * ch.Voltage()
+			c += cc
+		}
+		if !same(b.Capacitance(), c) {
+			t.Fatalf("call %d (%s): held capacitance %v, fresh %v", call, op, b.Capacitance(), c)
+		}
+		want := 0.0
+		if c != 0 {
+			want = qc / c
+		}
+		if !same(b.OutputVoltage(), want) {
+			t.Fatalf("call %d (%s): OutputVoltage %v, fresh %v", call, op, b.OutputVoltage(), want)
+		}
+	}
+	s := uint64(0x5eed)
+	next := func() float64 {
+		s = s*6364136223846793005 + 1442695040888963407
+		return float64(s>>11) / (1 << 53)
+	}
+	const dt = 1e-3
+	ticks, ups, downs, clips := 0, 0, 0, 0
+	for call := 0; call < 200_000; call++ {
+		surplus := call/40_000%2 == 0
+		switch r := next(); {
+		case r < 0.3:
+			p := next() * 2e-3
+			if surplus {
+				p = next() * 80e-3
+			}
+			clipped := b.Ledger().Clipped
+			b.Harvest(p * dt)
+			if b.Ledger().Clipped > clipped {
+				clips++
+			}
+			check(call, "Harvest")
+		case r < 0.6:
+			p := next() * 2e-3
+			if !surplus {
+				p = next() * 20e-3
+			}
+			b.Draw(p * dt)
+			check(call, "Draw")
+		default:
+			lvl := b.Level()
+			b.Tick(float64(ticks)*dt, dt, r < 0.8)
+			ticks++
+			switch {
+			case b.Level() > lvl:
+				ups++
+			case b.Level() < lvl:
+				downs++
+			}
+			check(call, "Tick")
+		}
+	}
+	if ups == 0 || downs == 0 || clips == 0 {
+		t.Errorf("schedule exercised %d steps up, %d down and %d clipping harvests; want each > 0", ups, downs, clips)
+	}
+	t.Logf("%d ticks: %d steps up, %d down, %d clipping harvests", ticks, ups, downs, clips)
+}

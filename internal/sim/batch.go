@@ -128,6 +128,7 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 	for i, cfg := range cfgs {
 		c := &b.cells[i]
 		c.buf, c.dev, c.conv = cfg.Buffer, cfg.Device, cfg.Frontend.Conv
+		c.dev.Bind(c.buf)
 		_, c.identity = c.conv.(harvest.Identity)
 		c.tailCap = cfg.TailCap
 		if c.tailCap <= 0 {
@@ -178,7 +179,7 @@ func RunBatch(cfgs []Config, st *Stats) ([]Result, error) {
 				p = c.conv.Deliver(raw, c.v)
 			}
 			c.buf.Harvest(p * dt)
-			c.dev.Step(t, dt, c.buf)
+			c.dev.Step(t, dt)
 			c.buf.Tick(t, dt, c.dev.Powered())
 			c.v = c.buf.OutputVoltage()
 			if c.obs.probe != nil {
@@ -265,7 +266,7 @@ func (b *batch) fastForwardFrom(tick int) int {
 		if c.done {
 			continue
 		}
-		if c.dev.State() != mcu.Off || c.v >= c.dev.EnableVoltage(c.buf) {
+		if c.dev.State() != mcu.Off || c.v >= c.dev.EnableVoltage() {
 			return tick
 		}
 		if !c.identity && c.conv.Deliver(0, c.v) != 0 {

@@ -92,7 +92,7 @@ func TestNilProbeRunAllocsFlat(t *testing.T) {
 			run++
 		})
 	}
-	for _, bufName := range []string{"REACT", "770 µF"} {
+	for _, bufName := range []string{"REACT", "770 µF", "Morphy"} {
 		short, long := allocs(bufName, 20), allocs(bufName, 40)
 		t.Logf("%s/DE: %v allocs over 20 s, %v over 40 s", bufName, short, long)
 		if long != short {

@@ -122,6 +122,7 @@ func RunReference(cfg Config) (Result, error) {
 	}
 
 	buf, dev, fe := cfg.Buffer, cfg.Device, cfg.Frontend
+	dev.Bind(buf)
 	traceDur := fe.Trace.Duration()
 
 	// When the trace sample spacing equals the timestep, tick i reads
@@ -150,7 +151,7 @@ func RunReference(cfg Config) (Result, error) {
 			p = fe.Power(t, v)
 		}
 		buf.Harvest(p * dt)
-		dev.Step(t, dt, buf)
+		dev.Step(t, dt)
 		buf.Tick(t, dt, dev.Powered())
 		v = buf.OutputVoltage()
 		if obs.probe != nil {

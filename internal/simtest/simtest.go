@@ -184,19 +184,25 @@ func CheckSamples(tb testing.TB, label string, samples []sim.Sample, vmax float6
 }
 
 // Cycle primes b and returns one tick of the work the simulation loop
-// gives a buffer while the device is on: Harvest, Draw, then Tick, at
-// dt = 1 ms with 20 mW offered and 9 mW drawn. The surplus outruns every
-// design's fabric and leakage losses, so priming (100 000 ticks) leaves b
-// in its largest configuration, clipping every tick — the costliest steady
-// state, and one that repeated calls do not move. The per-layer benchmarks
-// time the returned function; the allocation tests hold it to zero.
+// gives a buffer while the device is on, in RunBatch's order: Harvest; the
+// device step's OutputVoltage, Capacitance, Level and Draw; Tick; and the
+// executor's OutputVoltage after it — at dt = 1 ms with 20 mW offered and
+// 9 mW drawn. The surplus outruns every design's fabric and leakage
+// losses, so priming (100 000 ticks) leaves b in its largest
+// configuration, clipping every tick — the costliest steady state, and one
+// that repeated calls do not move. The per-layer benchmarks time the
+// returned function; the allocation tests hold it to zero.
 func Cycle(b buffer.Buffer) func() {
 	const dt = 1e-3
 	tick := 0
 	cycle := func() {
 		b.Harvest(20e-3 * dt)
+		b.OutputVoltage()
+		b.Capacitance()
+		b.Level()
 		b.Draw(9e-3 * dt)
 		b.Tick(float64(tick)*dt, dt, true)
+		b.OutputVoltage()
 		tick++
 	}
 	for i := 0; i < 100_000; i++ {
