@@ -22,43 +22,35 @@ type Node interface {
 // Chain is a set of capacitors connected in series. Terminal charge passes
 // through every member equally; terminal voltage is the sum of member
 // voltages. Members need not hold equal charge — an imbalanced chain is how
-// Morphy-style networks lose energy when later re-paralleled.
+// Morphy-style networks lose energy when later re-paralleled. Build one
+// with NewChain.
 type Chain struct {
 	Caps []*Capacitor
 
-	// seriesC caches the series-equivalent capacitance. Member capacitances
+	// seriesC is the series-equivalent capacitance. Member capacitances
 	// are fixed for the life of a chain (only charge moves), so NewChain
 	// computes it once; Capacitance is on the simulation's per-tick path.
-	seriesC   float64
-	hasCached bool
+	seriesC float64
 }
 
 // NewChain builds a series chain over caps.
 func NewChain(caps ...*Capacitor) *Chain {
-	return &Chain{Caps: caps, seriesC: seriesCapacitance(caps), hasCached: true}
-}
-
-func seriesCapacitance(caps []*Capacitor) float64 {
 	inv := 0.0
 	for _, c := range caps {
 		if c.C == 0 {
-			return 0
+			return &Chain{Caps: caps}
 		}
 		inv += 1 / c.C
 	}
 	if inv == 0 {
-		return 0
+		return &Chain{Caps: caps}
 	}
-	return 1 / inv
+	return &Chain{Caps: caps, seriesC: 1 / inv}
 }
 
-// Capacitance returns the series-equivalent capacitance 1/Σ(1/Cᵢ).
-func (ch *Chain) Capacitance() float64 {
-	if ch.hasCached {
-		return ch.seriesC
-	}
-	return seriesCapacitance(ch.Caps)
-}
+// Capacitance returns the series-equivalent capacitance 1/Σ(1/Cᵢ), 0 for
+// an empty chain or one with a 0 F member.
+func (ch *Chain) Capacitance() float64 { return ch.seriesC }
 
 // Voltage returns the terminal voltage Σ Vᵢ.
 func (ch *Chain) Voltage() float64 {

@@ -28,7 +28,8 @@ type Config struct {
 	Frontend *harvest.Frontend
 	// Buffer is the energy buffer under test.
 	Buffer buffer.Buffer
-	// Device is the computational backend with its workload attached.
+	// Device is the computational backend with its workload attached. The
+	// executor binds it to Buffer for the run (mcu.Device.Bind).
 	Device *mcu.Device
 	// TailCap bounds the post-trace drain phase (default 600 s).
 	TailCap float64
