@@ -65,9 +65,8 @@ type Buffer struct {
 	cfg    Config
 	traits buffer.Traits
 	banks  []*circuit.Capacitor
-	nodes  []circuit.Node // banks as circuit nodes, for a mode step's equalize
-	volts  []float64      // scratch bank voltages for that equalize
-	mode   int            // banks 0..mode are active
+	volts  []float64 // scratch bank voltages for a mode step's equalize
+	mode   int       // banks 0..mode are active
 	ledger buffer.Ledger
 	poll   float64
 }
@@ -83,11 +82,9 @@ func New(cfg Config) *Buffer {
 		Guarantee: make([]float64, len(cfg.Banks)),
 	}}
 	for _, c := range cfg.Banks {
-		bank := &circuit.Capacitor{
+		b.banks = append(b.banks, &circuit.Capacitor{
 			C: c, LeakI: cfg.LeakIPerF * c, VRated: cfg.VRated, VMax: cfg.VMax,
-		}
-		b.banks = append(b.banks, bank)
-		b.nodes = append(b.nodes, bank)
+		})
 	}
 	b.volts = make([]float64, len(b.banks))
 	if cfg.PollHz > 0 {
@@ -247,7 +244,7 @@ func (b *Buffer) controllerPoll() {
 		for i, c := range b.active() {
 			b.volts[i] = c.Voltage()
 		}
-		b.ledger.SwitchLoss += circuit.EqualizeParallel(b.nodes[:b.mode+1], b.volts)
+		b.ledger.SwitchLoss += circuit.EqualizeParallel(b.active(), b.volts)
 	case v <= b.cfg.VLow && b.mode > 0:
 		// Disconnect the most recently added bank. Its residual charge
 		// strands on the reserve (recoverable only if the mode climbs

@@ -96,17 +96,17 @@ func BenchmarkLeak(b *testing.B) {
 // reshuffled network that must redistribute charge (its reset derives the
 // voltages, as Morphy's rebuild does).
 func BenchmarkEqualizeParallel(b *testing.B) {
-	chains := func() []Node {
+	chains := func() []*Chain {
 		caps := make([]*Capacitor, 8)
 		for i := range caps {
 			caps[i] = &Capacitor{C: 2e-3}
 		}
-		return []Node{NewChain(caps[0:3]...), NewChain(caps[3:6]...), NewChain(caps[6:8]...)}
+		return []*Chain{NewChain(caps[0:3]...), NewChain(caps[3:6]...), NewChain(caps[6:8]...)}
 	}
 	b.Run("Equalized", func(b *testing.B) {
 		nodes := chains()
 		for _, n := range nodes {
-			resetChain(n.(*Chain))
+			resetChain(n)
 		}
 		volts := make([]float64, len(nodes))
 		for i, n := range nodes {
@@ -121,7 +121,7 @@ func BenchmarkEqualizeParallel(b *testing.B) {
 		volts := make([]float64, len(nodes))
 		for b.Loop() {
 			for i, n := range nodes {
-				for _, c := range n.(*Chain).Caps {
+				for _, c := range n.Caps {
 					c.SetVoltage(1 + float64(i)*0.5)
 				}
 				volts[i] = n.Voltage()

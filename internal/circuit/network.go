@@ -117,7 +117,7 @@ func (ch *Chain) AddCharge(dq float64) float64 {
 // a unified switched-capacitor array pays it on every reconfiguration,
 // while REACT's isolated banks never connect charged elements at different
 // potentials.
-func EqualizeParallel(nodes []Node, volts []float64) (loss float64) {
+func EqualizeParallel[N Node](nodes []N, volts []float64) (loss float64) {
 	if len(nodes) == 0 {
 		return 0
 	}

@@ -84,10 +84,9 @@ type Buffer struct {
 	caps    []*circuit.Capacitor
 	parts   []partition // every rung of the ladder, built once in New
 	chains  []*circuit.Chain
-	nodes   []circuit.Node // chains as circuit nodes
-	volts   []float64      // volts[i] == chains[i].Voltage()
-	c       float64        // Σ chain capacitance, in chain order
-	idx     int            // current partition index
+	volts   []float64 // volts[i] == chains[i].Voltage()
+	c       float64   // Σ chain capacitance, in chain order
+	idx     int       // current partition index
 	ledger  buffer.Ledger
 	poll    float64
 	holdoff int // polls remaining before another reconfiguration is allowed
@@ -97,7 +96,6 @@ type Buffer struct {
 // partition is one configuration's chains, which depend only on its index.
 type partition struct {
 	chains []*circuit.Chain
-	nodes  []circuit.Node
 	c      float64
 }
 
@@ -139,7 +137,6 @@ func New(cfg Config) *Buffer {
 			at += m
 			ch := circuit.NewChain(caps...)
 			p.chains = append(p.chains, ch)
-			p.nodes = append(p.nodes, ch)
 			p.c += ch.Capacitance()
 		}
 		b.parts = append(b.parts, p)
@@ -169,7 +166,7 @@ func New(cfg Config) *Buffer {
 // voltages.
 func (b *Buffer) rebuild() {
 	p := &b.parts[b.idx]
-	b.chains, b.nodes, b.c = p.chains, p.nodes, p.c
+	b.chains, b.c = p.chains, p.c
 	b.volts = b.volts[:len(b.chains)]
 	b.derive()
 }
@@ -188,7 +185,7 @@ func (b *Buffer) Traits() buffer.Traits { return b.traits }
 // equalize relaxes the parallel chain network, charging any imbalance to
 // the switch-loss ledger; EqualizeParallel refreshes the held voltages.
 func (b *Buffer) equalize() {
-	b.ledger.SwitchLoss += circuit.EqualizeParallel(b.nodes, b.volts)
+	b.ledger.SwitchLoss += circuit.EqualizeParallel(b.chains, b.volts)
 }
 
 // Harvest implements buffer.Buffer: charge splits across the paralleled
