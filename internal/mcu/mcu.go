@@ -276,7 +276,7 @@ func (d *Device) EnableVoltage() float64 {
 }
 
 // Step advances the device by dt seconds, drawing energy from the bound
-// buffer.
+// buffer. Stepping a device that was never bound is a bug and panics.
 func (d *Device) Step(now, dt float64) {
 	buf := d.buf
 	v := buf.OutputVoltage()

@@ -82,7 +82,7 @@ func DefaultConfig() Config {
 type Buffer struct {
 	cfg     Config
 	caps    []*circuit.Capacitor
-	parts   []partition // every rung of the ladder, built once in New
+	parts   [][]*circuit.Chain // every partition's chains, built once in New
 	chains  []*circuit.Chain
 	volts   []float64 // volts[i] == chains[i].Voltage()
 	c       float64   // Σ chain capacitance, in chain order
@@ -91,12 +91,6 @@ type Buffer struct {
 	poll    float64
 	holdoff int // polls remaining before another reconfiguration is allowed
 	traits  buffer.Traits
-}
-
-// partition is one configuration's chains, which depend only on its index.
-type partition struct {
-	chains []*circuit.Chain
-	c      float64
 }
 
 var _ buffer.Buffer = (*Buffer)(nil)
@@ -127,7 +121,7 @@ func New(cfg Config) *Buffer {
 	}
 	widest := 0
 	for idx, part := range cfg.Partitions {
-		var p partition
+		var chains []*circuit.Chain
 		at := idx
 		for _, m := range part {
 			caps := make([]*circuit.Capacitor, m)
@@ -135,11 +129,9 @@ func New(cfg Config) *Buffer {
 				caps[i] = b.caps[(at+i)%cfg.NumCaps]
 			}
 			at += m
-			ch := circuit.NewChain(caps...)
-			p.chains = append(p.chains, ch)
-			p.c += ch.Capacitance()
+			chains = append(chains, circuit.NewChain(caps...))
 		}
-		b.parts = append(b.parts, p)
+		b.parts = append(b.parts, chains)
 		widest = max(widest, len(part))
 	}
 	b.volts = make([]float64, widest)
@@ -163,10 +155,13 @@ func New(cfg Config) *Buffer {
 }
 
 // rebuild switches to the current partition's chains and derives their
-// voltages.
+// summed capacitance and voltages.
 func (b *Buffer) rebuild() {
-	p := &b.parts[b.idx]
-	b.chains, b.c = p.chains, p.c
+	b.chains = b.parts[b.idx]
+	b.c = 0
+	for _, ch := range b.chains {
+		b.c += ch.Capacitance()
+	}
 	b.volts = b.volts[:len(b.chains)]
 	b.derive()
 }
